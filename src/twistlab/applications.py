@@ -82,26 +82,15 @@ def unit_alternating_trace(signs: Sequence[int], t: Fraction) -> Fraction:
     ``signs`` is the flat sequence of unit exponents, alternately applied to
     a and b; this is the matrix family the trace bound is stated for.
     """
-    t = Fraction(t)
     if len(signs) % 2 != 0 or not signs:
         raise BadParameter("need an even number of unit exponents")
-    m = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-    for i, sign in enumerate(signs):
+    for sign in signs:
         if sign not in (1, -1):
             raise BadParameter(f"unit exponents must be +-1, got {sign}")
-        g = (Fraction(1), sign * t, Fraction(0), Fraction(1)) if i % 2 == 0 else (
-            Fraction(1),
-            Fraction(0),
-            sign * t,
-            Fraction(1),
-        )
-        m = (
-            m[0] * g[0] + m[1] * g[2],
-            m[0] * g[1] + m[1] * g[3],
-            m[2] * g[0] + m[3] * g[2],
-            m[2] * g[1] + m[3] * g[3],
-        )
-    return m[0] + m[3]
+    # represent() maps T_B^k to [[1, 0], [-k s, 1]], so b^sign is B^-sign
+    w = word(("A", sign) if i % 2 == 0 else ("B", -sign) for i, sign in enumerate(signs))
+    m_a, _, _, m_d = represent(w, IntersectionMatrix.of([[1]])).eval_at(Fraction(t))
+    return m_a + m_d
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .applications import (
+    FREE_CURVES,
+    MULTICURVES,
+    TWO_MULTICURVES,
     MinimalWordResult,
     RaagCertificate,
     RatioReport,
@@ -36,6 +41,7 @@ from .bounds import (
 from .config import CurveSystem, load_curve_system, load_curve_system_file, validate
 from .errors import MalformedConfig, MalformedInput, MalformedWord, TwistlabError
 from .farey import (
+    Slope,
     VerificationReport,
     farey_distance,
     parse_slope,
@@ -172,91 +178,119 @@ def envelope(result: dict, warnings: list[str], echo: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shared handlers; each returns (result_dict, warnings, echo, ok)
+# parameter readers: each turns a batch value or a command-line string into
+# the typed value a handler takes, raising ValueError or TypeError if it can't
 
 
-def _load_system(params: dict) -> CurveSystem:
-    cfg = params.get("config")
-    if cfg is None:
-        raise MalformedConfig("missing configuration")
-    if isinstance(cfg, str):
-        sys_ = load_curve_system_file(cfg)
-    elif isinstance(cfg, dict):
-        sys_ = load_curve_system(cfg)
-    else:
-        raise MalformedConfig("config must be a path or an inline object")
-    override = params.get("M")
-    if override is not None:
-        sys_ = sys_.with_m(int(override))
-    problems = validate(sys_)
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _names(value) -> list[str]:
+    """A JSON array of names, or the command line's comma-separated list."""
+    if isinstance(value, str):
+        return [c.strip() for c in value.split(",") if c.strip()]
+    if isinstance(value, list) and all(isinstance(c, str) for c in value):
+        return value
+    raise TypeError("expected an array of names")
+
+
+def _ints(value) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError("expected an array of integers")
+    return [int(e) for e in value]
+
+
+def _positive(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be a positive integer, got {n}")
+    return n
+
+
+def _word(value) -> TwistWord:
+    return parse_word(_text(value))
+
+
+def _slope(value) -> Slope:
+    return parse_slope(_text(value))
+
+
+def _precision(value) -> Fraction:
+    val = Fraction(str(value))
+    if val <= 0:
+        raise ValueError("precision must be positive")
+    return val
+
+
+def _config(value) -> CurveSystem:
+    if isinstance(value, str):
+        return load_curve_system_file(value)
+    if isinstance(value, dict):
+        return load_curve_system(value)
+    raise MalformedConfig("config must be a path or an inline object")
+
+
+def _matrix(value) -> IntersectionMatrix:
+    if isinstance(value, str):
+        try:
+            with open(value, "r", encoding="utf-8") as fh:
+                value = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise MalformedInput(f"cannot read matrix: {exc}") from None
+    if not isinstance(value, list):
+        raise MalformedInput("matrix must be a JSON array of rows")
+    return IntersectionMatrix.of(value)
+
+
+# ---------------------------------------------------------------------------
+# handlers; each takes its mode's typed parameters and returns
+# (result_dict, warnings, echo, ok)
+
+
+def _system(config: CurveSystem, M: int | None) -> CurveSystem:
+    if M is not None:
+        config = config.with_m(M)
+    problems = validate(config)
     if problems:
         raise MalformedConfig("configuration fails validation: " + "; ".join(problems))
-    return sys_
-
-
-def _word(params: dict) -> TwistWord:
-    text = params.get("word")
-    if not isinstance(text, str):
-        raise MalformedWord("missing word")
-    return parse_word(text)
+    return config
 
 
 def _base_warnings(sys_: CurveSystem) -> list[str]:
     return [WARN_DEFAULT_M] if sys_.m_is_default else []
 
 
-def do_analyze(params: dict):
-    sys_ = _load_system(params)
-    w = _word(params)
-    theorem = params.get("theorem", "auto")
+def _config_echo(w: TwistWord, sys_: CurveSystem) -> dict:
+    return {"word": str(w), "config_digest": sys_.digest(), "M": sys_.M}
+
+
+def do_analyze(config, M, word, theorem, A, B, cycle):
+    if theorem in ("twomulti34", "penner") and not (A and B):
+        raise MalformedInput(f"theorem {theorem} needs A and B")
+    if theorem == "multicycle35" and not cycle:
+        raise MalformedInput("theorem multicycle35 needs a cycle")
+    sys_ = _system(config, M)
     if theorem == "auto":
-        res = best_bound(w, sys_)
+        res = best_bound(word, sys_)
     elif theorem == "main31":
-        res = exact_two_filling(w, sys_)
+        res = exact_two_filling(word, sys_)
     elif theorem == "cycle32":
-        res = bounds_curve_cycle(w, sys_)
+        res = bounds_curve_cycle(word, sys_)
     elif theorem == "twomulti34":
-        res = bounds_two_multicurve(w, sys_, params["A"], params["B"])
+        res = bounds_two_multicurve(word, sys_, A, B)
     elif theorem == "multicycle35":
-        res = bounds_multicurve_cycle(w, sys_, params["cycle"])
-    elif theorem == "penner":
-        res = penner_certificate(w, sys_, params["A"], params["B"])
+        res = bounds_multicurve_cycle(word, sys_, cycle)
     else:
-        raise MalformedInput(f"unknown theorem selector {theorem!r}")
-    echo = {"word": str(w), "config_digest": sys_.digest(), "M": sys_.M}
-    return bound_json(res), _base_warnings(sys_), echo, res.verified
+        res = penner_certificate(word, sys_, A, B)
+    return bound_json(res), _base_warnings(sys_), _config_echo(word, sys_), res.verified
 
 
-def _matrix(params: dict) -> IntersectionMatrix:
-    m = params.get("matrix")
-    if isinstance(m, str):
-        try:
-            with open(m, "r", encoding="utf-8") as fh:
-                m = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise MalformedInput(f"cannot read matrix: {exc}") from None
-    if not isinstance(m, list):
-        raise MalformedInput("matrix must be a JSON array of rows")
-    return IntersectionMatrix.of(m)
-
-
-def _precision(params: dict) -> Fraction:
-    raw = params.get("precision", "1e-9")
-    try:
-        val = Fraction(str(raw))
-    except (ValueError, ZeroDivisionError):
-        raise MalformedInput(f"bad precision {raw!r}") from None
-    if val <= 0:
-        raise MalformedInput("precision must be positive")
-    return val
-
-
-def do_thurston(params: dict):
-    N = _matrix(params)
-    w = _word(params)
-    precision = _precision(params)
-    mu = perron_eigenvalue(N)
-    rep = represent(w, N)
+def do_thurston(matrix, word, precision):
+    mu = perron_eigenvalue(matrix)
+    rep = represent(word, matrix)
     kind = classify(rep, mu)
     mu_refined = mu.refined(precision)
     result = {
@@ -268,104 +302,72 @@ def do_thurston(params: dict):
         "hyperbolic": kind == HYPERBOLIC,
     }
     if kind == HYPERBOLIC:
-        enc = stretch_factor(w, N, precision)
+        enc = stretch_factor(word, matrix, precision)
         result["lambda_interval"] = interval_json(enc.lam)
         result["lT_interval"] = interval_json(enc.log)
-    echo = {"word": str(w), "matrix": [list(r) for r in N.rows]}
+    echo = {"word": str(word), "matrix": [list(r) for r in matrix.rows]}
     return result, [], echo, True
 
 
-def do_minword(params: dict):
-    sys_ = _load_system(params)
-    w = _word(params)
-    res = minimal_word(w, sys_, params["A"], params["B"])
-    echo = {"word": str(w), "config_digest": sys_.digest(), "M": sys_.M}
-    return minword_json(res), _base_warnings(sys_), echo, True
+def do_minword(config, M, word, A, B):
+    sys_ = _system(config, M)
+    res = minimal_word(word, sys_, A, B)
+    return minword_json(res), _base_warnings(sys_), _config_echo(word, sys_), True
 
 
-def do_ratio(params: dict):
-    sys_ = _load_system(params)
-    w = _word(params)
-    inter = params.get("intersection")
-    if inter is None:
-        curves = w.curves()
+def do_ratio(config, M, word, intersection):
+    sys_ = _system(config, M)
+    if intersection is None:
+        curves = word.curves()
         if len(curves) != 2:
             raise MalformedInput("ratio needs a two-curve word")
-        value = sys_.inter_or_none(*curves)
-        if value is None:
+        intersection = sys_.inter_or_none(*curves)
+        if intersection is None:
             raise MalformedInput(
                 "no stored intersection number; pass it explicitly with --intersection"
             )
-        inter = value
-    N = IntersectionMatrix.of([[int(inter)]])
-    res = ratio_report(w, sys_, N)
-    echo = {"word": str(w), "config_digest": sys_.digest(), "M": sys_.M}
-    return ratio_json(res), _base_warnings(sys_), echo, True
+    res = ratio_report(word, sys_, IntersectionMatrix.of([[intersection]]))
+    return ratio_json(res), _base_warnings(sys_), _config_echo(word, sys_), True
 
 
-def do_raag(params: dict):
-    sys_ = _load_system(params)
-    mode = params.get("mode")
-    if mode == "free_curves":
-        data = params["curves"]
-    elif mode == "two_multicurves":
-        names = params["multicurves"]
-        if len(names) != 2:
+def do_raag(config, M, raag_mode, curves, multicurves):
+    sys_ = _system(config, M)
+    key = "curves" if raag_mode == FREE_CURVES else "multicurves"
+    data = curves if raag_mode == FREE_CURVES else multicurves
+    if data is None:
+        raise MalformedInput(f"raag mode {raag_mode} needs {key}")
+    if raag_mode == TWO_MULTICURVES:
+        if len(data) != 2:
             raise MalformedInput("two_multicurves mode needs exactly two names")
-        data = tuple(names)
-    elif mode == "multicurves":
-        data = params["multicurves"]
-    else:
-        raise MalformedInput(f"unknown raag mode {mode!r}")
-    cert = raag_threshold(sys_, mode, data)
-    echo = {"mode": mode, "config_digest": sys_.digest(), "M": sys_.M}
+        data = tuple(data)
+    cert = raag_threshold(sys_, raag_mode, data)
+    echo = {"mode": raag_mode, "config_digest": sys_.digest(), "M": sys_.M}
     return raag_json(cert), _base_warnings(sys_), echo, True
 
 
-def do_farey_dist(params: dict):
-    try:
-        x = parse_slope(params["x"])
-        y = parse_slope(params["y"])
-    except (ValueError, KeyError) as exc:
-        raise MalformedInput(f"bad slope: {exc}") from None
+def do_farey_dist(x, y):
     return {"distance": farey_distance(x, y)}, [], {"x": str(x), "y": str(y)}, True
 
 
-def do_farey_verify(params: dict):
-    try:
-        a = parse_slope(params["a"])
-        b = parse_slope(params["b"])
-    except (ValueError, KeyError) as exc:
-        raise MalformedInput(f"bad slope: {exc}") from None
-    if "word" in params and params["word"]:
-        w = parse_word(params["word"])
-        letters = w.curves()
-        if set(letters) - {"a", "b"}:
+def do_farey_verify(a, b, word, exponents, mmax, threshold):
+    if word is not None:
+        if set(word.curves()) - {"a", "b"}:
             raise MalformedWord("verify words use the letters a and b only")
-        exps = []
-        for i, s in enumerate(w):
-            want = "a" if i % 2 == 0 else "b"
-            if s.curve != want:
+        exponents = []
+        for i, s in enumerate(word):
+            if s.curve != ("a" if i % 2 == 0 else "b"):
                 raise MalformedWord("verify words must alternate a, b, a, b, ...")
-            exps.append(s.exponent)
-    else:
-        exps = [int(e) for e in params.get("exponents", [])]
-    report = verify_main_theorem(a, b, exps, int(params.get("mmax", 4)), params.get("threshold"))
+            exponents.append(s.exponent)
+    elif exponents is None:
+        raise MalformedInput("farey_verify needs a word or exponents")
+    report = verify_main_theorem(a, b, exponents, mmax, threshold)
     warnings = [WARN_TORUS_MODEL, WARN_TORUS_EMPIRICAL]
-    echo = {"a": str(a), "b": str(b), "exponents": exps}
+    echo = {"a": str(a), "b": str(b), "exponents": exponents}
     return verify_json(report), warnings, echo, True
 
 
-def do_verify_sample(params: dict):
-    count = int(params.get("count", 25))
-    seed = int(params.get("seed", DEFAULT_SEED))
-    samples = sample_main_equality(
-        count,
-        seed=seed,
-        m_max=int(params.get("mmax", 4)),
-        start=int(params.get("start", 201)),
-        cap=int(params.get("cap", 2**15)),
-    )
+def do_verify_sample(count, seed, mmax, start, cap):
+    samples = sample_main_equality(count, seed=seed, m_max=mmax, start=start, cap=cap)
     rows = []
     for s in samples:
         rows.append(
@@ -388,26 +390,104 @@ def do_verify_sample(params: dict):
     return result, warnings, {"seed": seed, "count": count}, True
 
 
-DISPATCH = {
-    "analyze": do_analyze,
-    "thurston": do_thurston,
-    "minword": do_minword,
-    "ratio": do_ratio,
-    "raag": do_raag,
-    "farey_dist": do_farey_dist,
-    "farey_verify": do_farey_verify,
-    "verify_sample": do_verify_sample,
-}
+# ---------------------------------------------------------------------------
+# the subcommand table: argparse, batch validation and dispatch all read it
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a mode.
+
+    ``name`` is the batch key and the handler's keyword.  ``read`` turns a
+    batch value or a command-line string into the typed value.  ``flag`` is
+    the command-line spelling: ``"--"`` for ``--NAME``, ``""`` for a
+    positional argument, ``None`` for a parameter only batch lines take.
+    """
+
+    name: str
+    read: Callable = _text
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    flag: str | None = "--"
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Mode:
+    name: str
+    command: tuple[str, ...]
+    help: str
+    handler: Callable
+    params: tuple[Param, ...]
+
+    @property
+    def keys(self) -> set[str]:
+        return {p.name for p in self.params}
+
+
+CONFIG = Param("config", _config, required=True)
+WORD = Param("word", _word, required=True)
+M_OVERRIDE = Param("M", int, help="override the projection constant M")
+MMAX = Param("mmax", int, 4)
+THEOREMS = ("auto", "main31", "cycle32", "twomulti34", "multicycle35", "penner")
+
+MODES = {mode.name: mode for mode in (
+    Mode("analyze", ("analyze",), "length bounds for a twist word", do_analyze, (
+        CONFIG, WORD, Param("theorem", default="auto", choices=THEOREMS), Param("A"), Param("B"),
+        Param("cycle", _names, help="comma-separated multicurve names"), M_OVERRIDE)),
+    Mode("thurston", ("thurston",), "representation and stretch factor", do_thurston, (
+        Param("matrix", _matrix, required=True, help="JSON file with the intersection matrix"),
+        WORD, Param("precision", _precision, Fraction(1, 10**9)))),
+    Mode("minword", ("minword",), "collect a word per curve", do_minword, (
+        CONFIG, WORD, Param("A", required=True), Param("B", required=True), M_OVERRIDE)),
+    Mode("ratio", ("ratio",), "curve-graph vs Teichmueller ratio", do_ratio, (
+        CONFIG, WORD, Param("intersection", int), M_OVERRIDE)),
+    Mode("raag", ("raag",), "twist power thresholds", do_raag, (
+        CONFIG,
+        Param("raag_mode", required=True, choices=(FREE_CURVES, TWO_MULTICURVES, MULTICURVES), flag="--mode"),
+        Param("curves", _names, help="comma-separated curve names"),
+        Param("multicurves", _names, help="comma-separated multicurve names"), M_OVERRIDE)),
+    Mode("farey_dist", ("farey", "dist"), "Farey graph distance", do_farey_dist, (
+        Param("x", _slope, required=True, flag=""), Param("y", _slope, required=True, flag=""))),
+    Mode("farey_verify", ("farey", "verify"), "torus distance experiment", do_farey_verify, (
+        Param("a", _slope, required=True), Param("b", _slope, required=True), Param("word", _word),
+        Param("exponents", _ints, flag=None), MMAX, Param("threshold", int))),
+    Mode("verify_sample", ("farey", "sample"), "sampled torus distance experiments", do_verify_sample, (
+        Param("count", int, 25), Param("seed", int, DEFAULT_SEED), MMAX, Param("start", _positive, 201),
+        Param("cap", int, 2**15))),
+)}
+
+
+def _read(mode: Mode, raw: dict) -> dict:
+    """Check raw parameters against the mode's row; return the typed values."""
+    unknown = set(raw) - mode.keys
+    if unknown:
+        raise MalformedInput(f"unknown {mode.name} parameters: {sorted(unknown)}")
+    values = {}
+    for p in mode.params:
+        value = raw.get(p.name)
+        if value is None:
+            if p.required:
+                raise MalformedInput(f"{mode.name} needs {p.name}")
+            values[p.name] = p.default
+            continue
+        try:
+            values[p.name] = p.read(value)
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            raise MalformedInput(f"bad {p.name}: {exc}") from None
+        if p.choices and values[p.name] not in p.choices:
+            raise MalformedInput(f"bad {p.name} {value!r}: choose from {', '.join(p.choices)}")
+    return values
 
 
 def run_instance(mode: str, params: dict) -> tuple[dict, str]:
-    """Run one instance; returns (envelope, status in ok/unmet/error)."""
-    handler = DISPATCH.get(mode)
-    if handler is None:
+    """Run one instance; returns (envelope, status in ok/unmet)."""
+    spec = MODES.get(mode) if isinstance(mode, str) else None
+    if spec is None:
         raise MalformedInput(f"unknown mode {mode!r}")
-    result, warnings, echo, ok = handler(params)
-    doc = envelope(result, warnings, echo)
-    return doc, "ok" if ok else "unmet"
+    result, warnings, echo, ok = spec.handler(**_read(spec, params))
+    return envelope(result, warnings, echo), "ok" if ok else "unmet"
 
 
 # ---------------------------------------------------------------------------
@@ -434,119 +514,39 @@ def _text_lines(node, prefix: str):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# front ends
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text"], default="json")
-    common.add_argument("--M", type=int, default=None, help="override the projection constant M")
 
     parser = argparse.ArgumentParser(prog="twistlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", parents=[common], help="length bounds for a twist word")
-    p.add_argument("--config", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument(
-        "--theorem",
-        choices=["auto", "main31", "cycle32", "twomulti34", "multicycle35", "penner"],
-        default="auto",
-    )
-    p.add_argument("--A")
-    p.add_argument("--B")
-    p.add_argument("--cycle", help="comma-separated multicurve names")
-
-    p = sub.add_parser("thurston", parents=[common], help="representation and stretch factor")
-    p.add_argument("--matrix", required=True, help="JSON file with the intersection matrix")
-    p.add_argument("--word", required=True, help="word over the letters A and B")
-    p.add_argument("--precision", default="1e-9")
-
-    p = sub.add_parser("minword", parents=[common], help="collect a word per curve")
-    p.add_argument("--config", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-
-    p = sub.add_parser("ratio", parents=[common], help="curve-graph vs Teichmueller ratio")
-    p.add_argument("--config", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--intersection", type=int, default=None)
-
-    p = sub.add_parser("raag", parents=[common], help="twist power thresholds")
-    p.add_argument("--config", required=True)
-    p.add_argument("--mode", required=True, choices=["free_curves", "two_multicurves", "multicurves"])
-    p.add_argument("--curves", help="comma-separated curve names")
-    p.add_argument("--multicurves", help="comma-separated multicurve names")
-
-    p = sub.add_parser("farey", parents=[common], help="torus backend")
-    fsub = p.add_subparsers(dest="farey_command", required=True)
-    pd = fsub.add_parser("dist", parents=[common])
-    pd.add_argument("x")
-    pd.add_argument("y")
-    pv = fsub.add_parser("verify", parents=[common])
-    pv.add_argument("--a", required=True)
-    pv.add_argument("--b", required=True)
-    pv.add_argument("--word", required=True)
-    pv.add_argument("--mmax", type=int, default=4)
-    pv.add_argument("--threshold", type=int, default=None)
+    groups = {}
+    for mode in MODES.values():
+        where = sub
+        if len(mode.command) == 2:
+            group = mode.command[0]
+            if group not in groups:
+                groups[group] = sub.add_parser(group, parents=[common]).add_subparsers(
+                    dest=f"{group}_command", required=True
+                )
+            where = groups[group]
+        p = where.add_parser(mode.command[-1], parents=[common], help=mode.help)
+        p.set_defaults(mode=mode.name)
+        for prm in mode.params:
+            choices = prm.choices or None
+            if prm.flag == "":
+                p.add_argument(prm.name, choices=choices, help=prm.help)
+            elif prm.flag is not None:
+                flag = f"--{prm.name}" if prm.flag == "--" else prm.flag
+                p.add_argument(flag, dest=prm.name, required=prm.required, choices=choices, help=prm.help)
 
     p = sub.add_parser("batch", parents=[common], help="run a JSONL experiment file")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
     return parser
-
-
-def _namespace_to_params(args: argparse.Namespace) -> tuple[str, dict]:
-    if args.command == "analyze":
-        params = {
-            "config": args.config,
-            "word": args.word,
-            "theorem": args.theorem,
-            "M": args.M,
-        }
-        if args.A:
-            params["A"] = args.A
-        if args.B:
-            params["B"] = args.B
-        if args.cycle:
-            params["cycle"] = [c.strip() for c in args.cycle.split(",") if c.strip()]
-        if args.theorem in ("twomulti34", "penner") and ("A" not in params or "B" not in params):
-            raise MalformedInput(f"--theorem {args.theorem} needs --A and --B")
-        if args.theorem == "multicycle35" and "cycle" not in params:
-            raise MalformedInput("--theorem multicycle35 needs --cycle")
-        return "analyze", params
-    if args.command == "thurston":
-        return "thurston", {"matrix": args.matrix, "word": args.word, "precision": args.precision}
-    if args.command == "minword":
-        return "minword", {
-            "config": args.config,
-            "word": args.word,
-            "A": args.A,
-            "B": args.B,
-            "M": args.M,
-        }
-    if args.command == "ratio":
-        params = {"config": args.config, "word": args.word, "M": args.M}
-        if args.intersection is not None:
-            params["intersection"] = args.intersection
-        return "ratio", params
-    if args.command == "raag":
-        params = {"config": args.config, "mode": args.mode, "M": args.M}
-        if args.curves:
-            params["curves"] = [c.strip() for c in args.curves.split(",") if c.strip()]
-        if args.multicurves:
-            params["multicurves"] = [c.strip() for c in args.multicurves.split(",") if c.strip()]
-        return "raag", params
-    if args.command == "farey":
-        if args.farey_command == "dist":
-            return "farey_dist", {"x": args.x, "y": args.y}
-        params = {"a": args.a, "b": args.b, "word": args.word, "mmax": args.mmax}
-        if args.threshold is not None:
-            params["threshold"] = args.threshold
-        return "farey_verify", params
-    raise MalformedInput(f"unknown command {args.command!r}")
 
 
 def _run_batch(path: str, seed: int, fmt: str) -> int:
@@ -567,7 +567,8 @@ def _run_batch(path: str, seed: int, fmt: str) -> int:
                 raise MalformedInput("each instance needs a 'mode' field")
             params = dict(instance)
             mode = params.pop("mode")
-            params.setdefault("seed", seed)
+            if isinstance(mode, str) and "seed" in getattr(MODES.get(mode), "keys", ()):
+                params.setdefault("seed", seed)
             doc, status = run_instance(mode, params)
         except TwistlabError as exc:
             doc = {
@@ -592,14 +593,12 @@ def _run_batch(path: str, seed: int, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    fmt = getattr(args, "format", "json")
+    args = _build_parser().parse_args(argv)
     if args.command == "batch":
-        return _run_batch(args.file, args.seed, fmt)
+        return _run_batch(args.file, args.seed, args.format)
+    params = {p.name: getattr(args, p.name) for p in MODES[args.mode].params if p.flag is not None}
     try:
-        mode, params = _namespace_to_params(args)
-        doc, status = run_instance(mode, params)
+        doc, status = run_instance(args.mode, params)
     except MalformedInput as exc:
         print(f"twistlab: {exc}", file=_sys.stderr)
         return 2
@@ -609,10 +608,10 @@ def main(argv=None) -> int:
                 "tool_version": __version__,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             },
-            fmt,
+            args.format,
         )
         return 1
-    _emit(doc, fmt)
+    _emit(doc, args.format)
     return 0 if status == "ok" else 1
 
 

@@ -127,9 +127,6 @@ class CurveSystem:
         except KeyError:
             raise MissingProjection(f"no stored projection at core {core} for ({x}, {y})") from None
 
-    def has_proj(self, core: str, x: str, y: str) -> bool:
-        return x == y or (core, _pair(x, y)) in self._proj
-
     def digest(self) -> str:
         """Stable content digest for report echoes."""
         import hashlib

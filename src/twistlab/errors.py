@@ -45,8 +45,9 @@ class NotHyperbolic(TwistlabError):
     """The represented word is not hyperbolic, so it has no stretch factor."""
 
 
-class DegenerateMatrix(TwistlabError):
-    """An intersection matrix has an all-zero row or column."""
+class DegenerateMatrix(MalformedInput):
+    """An intersection matrix is empty, ragged, negative, or has an all-zero row
+    or column."""
 
 
 class BadParameter(TwistlabError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 Poly = tuple[int, ...]
 Interval = tuple[Fraction, Fraction]
@@ -58,12 +58,6 @@ def p_mul(p, q):
     return p_strip(out)
 
 
-def p_scale(p, c):
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
-
-
 def p_eval(p, x):
     """Evaluate by Horner's rule; exact for int or Fraction arguments."""
     acc = 0
@@ -81,8 +75,6 @@ def p_primitive(p) -> Poly:
     p = p_strip(p)
     if not p:
         return ()
-    from math import gcd
-
     g = 0
     for c in p:
         g = gcd(g, abs(c))
@@ -119,14 +111,8 @@ def _int_from_frac(p) -> Poly:
     denom = 1
     for c in p:
         frac = Fraction(c)
-        denom = denom * frac.denominator // _gcd(denom, frac.denominator)
+        denom = denom * frac.denominator // gcd(denom, frac.denominator)
     return p_primitive(tuple(int(Fraction(c) * denom) for c in p))
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

@@ -114,9 +114,6 @@ class RepMatrix:
     def eval_at(self, s: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(p_eval(entry, Fraction(s)) for entry in (self.a, self.b, self.c, self.d))
 
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> tuple[Interval, ...]:
-        return tuple(p_eval_interval(entry, lo, hi) for entry in (self.a, self.b, self.c, self.d))
-
 
 REP_IDENTITY = RepMatrix((1,), (), (), (1,))
 

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from twistlab.cli import main
+from twistlab.cli import MODES, main
 
 PAIR_CONFIG = {
     "curves": ["a", "b"],
@@ -282,3 +283,130 @@ def test_verify_sample_batch_mode(capsys, tmp_path):
     docs = [json.loads(line) for line in out.strip().splitlines()]
     assert docs[0]["result"]["count"] == 2
     assert len(docs[0]["result"]["instances"]) == 2
+
+
+def _batch(capsys, tmp_path, lines):
+    batch = tmp_path / "lines.jsonl"
+    batch.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, out, _ = _run(capsys, ["batch", str(batch)])
+    assert code == 0
+    return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def test_raag_batch_line(capsys, tmp_path, config_path):
+    line = {"mode": "raag", "raag_mode": "two_multicurves", "config": config_path, "multicurves": ["A", "B"]}
+    docs = _batch(capsys, tmp_path, [line])
+    assert docs[0]["status"] == "ok"
+    assert docs[0]["result"]["required_power"] == 204
+    assert docs[0]["input_echo"]["mode"] == "two_multicurves"
+    assert docs[1] == {"pass": 1, "fail": 0}
+
+
+def test_raag_missing_names_exit_two(capsys, config_path):
+    code, out, err = _run(capsys, ["raag", "--config", config_path, "--mode", "free_curves"])
+    assert code == 2
+    assert not out
+    assert "needs curves" in err
+
+
+def test_farey_sample_command_matches_batch(capsys, tmp_path):
+    code, out, _ = _run(capsys, ["farey", "sample", "--count", "2", "--cap", "402", "--mmax", "2"])
+    assert code == 0
+    docs = _batch(capsys, tmp_path, [{"mode": "verify_sample", "count": 2, "cap": 402, "mmax": 2}])
+    assert json.loads(out)["result"] == docs[0]["result"]
+
+
+@pytest.mark.parametrize("matrix", [[[1, -1]], [["x"]], [1], [[1], [1, 1]], "[[1"])
+def test_bad_matrix_file_exit_two(capsys, tmp_path, matrix):
+    path = tmp_path / "N.json"
+    path.write_text(matrix if isinstance(matrix, str) else json.dumps(matrix))
+    code, out, err = _run(capsys, ["thurston", "--matrix", str(path), "--word", "A B^-1"])
+    assert code == 2
+    assert not out
+    assert err.startswith("twistlab: ")
+
+
+@pytest.mark.parametrize("argv", [["thurston", "--matrix", "N.json", "--word", "A"], ["farey", "dist", "1/0", "3/5"]])
+def test_m_rejected_where_no_config_is_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--M", "5"])
+    assert exc.value.code == 2
+
+
+def test_unknown_batch_key_rejected(capsys, tmp_path):
+    docs = _batch(capsys, tmp_path, [{"mode": "farey_dist", "x": "1/0", "y": "3/5", "z": 1}])
+    assert docs[0]["error"] == {"type": "MalformedInput", "message": "unknown farey_dist parameters: ['z']"}
+
+
+# each of these lines used to end the whole batch in a Python traceback
+CRASHERS = [
+    {"mode": "minword", "config": PAIR_CONFIG, "word": "a^204 b^-204", "B": "B"},
+    {"mode": "analyze", "config": PAIR_CONFIG, "word": "a^204 b^-204", "theorem": "penner"},
+    {"mode": "analyze", "config": PAIR_CONFIG, "word": "a^204 b^-204", "theorem": "multicycle35"},
+    {"mode": "farey_verify", "a": "1/0", "b": "3/5", "word": "a^201 b^-201", "mmax": "x"},
+    {"mode": "verify_sample", "count": "x"},
+    {"mode": "ratio", "config": PAIR_CONFIG, "word": "a^201 b^-201", "intersection": "q"},
+    {"mode": "analyze", "config": PAIR_CONFIG, "word": "a^201 b^-201", "M": "x"},
+    {"mode": "farey_verify", "a": "1/0", "b": "3/5", "exponents": ["x"]},
+    {"mode": "thurston", "matrix": [["x"]], "word": "A B^-1"},
+    {"mode": "thurston", "matrix": [1], "word": "A B^-1"},
+    {"mode": "farey_dist", "x": 1, "y": "3/5"},
+]
+
+
+@pytest.mark.parametrize("line", CRASHERS)
+def test_former_crash_is_malformed_input(capsys, tmp_path, line):
+    docs = _batch(capsys, tmp_path, [line, {"mode": "farey_dist", "x": "1/0", "y": "3/5"}])
+    assert docs[0]["status"] == "error"
+    assert docs[0]["error"]["type"] == "MalformedInput"
+    assert docs[1]["result"] == {"distance": 3}
+    assert docs[2] == {"pass": 1, "fail": 1}
+
+
+# one good line per mode; the property perturbs these
+GOOD_LINES = {
+    "analyze": {"config": PAIR_CONFIG, "word": "a^201 b^-201"},
+    "thurston": {"matrix": [[1]], "word": "A B^-1"},
+    "minword": {"config": PAIR_CONFIG, "word": "a^204 b^-204 a^204 b^-204", "A": "A", "B": "B"},
+    "ratio": {"config": PAIR_CONFIG, "word": "a^201 b^-201"},
+    "raag": {"config": PAIR_CONFIG, "raag_mode": "two_multicurves", "multicurves": ["A", "B"]},
+    "farey_dist": {"x": "1/0", "y": "3/5"},
+    "farey_verify": {"a": "1/0", "b": "3/5", "word": "a^201 b^-201", "mmax": 2},
+    "verify_sample": {"count": 1, "cap": 3},
+}
+SMALL = st.integers(-3, 5)
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    SMALL,
+    st.sampled_from([0.5, -1.5, 1e-3, float("nan"), float("inf")]),
+    st.text(max_size=6),
+    st.sampled_from(["1/0", "3/5", "a", "a^3 b^-3", "A B^-1", "A", "A,B", "a,b", "penner", "free_curves"]),
+    st.just(PAIR_CONFIG),
+    st.lists(SMALL | st.sampled_from(["a", "A", "B", "x"]), max_size=3),
+    st.lists(st.lists(SMALL, max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), SMALL, max_size=2),
+)
+
+
+@st.composite
+def batch_lines(draw):
+    """A line of a random mode: a good line with keys dropped, changed or added."""
+    mode = draw(st.sampled_from(sorted(MODES)))
+    line = {k: v for k, v in GOOD_LINES[mode].items() if draw(st.integers(0, 3))}
+    keys = sorted(MODES[mode].keys) + ["mode", "zz"]
+    line.update(draw(st.dictionaries(st.sampled_from(keys), VALUES, max_size=3)))
+    line["mode"] = mode
+    if mode == "verify_sample":
+        # the sampler's doubling ladder is not what this property is about; keep it short
+        line.update(count=draw(st.integers(0, 1)), cap=draw(SMALL))
+    return line
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(batch_lines(), min_size=1, max_size=3))
+def test_batch_never_raises(capsys, tmp_path, lines):
+    docs = _batch(capsys, tmp_path, lines)
+    assert len(docs) == len(lines) + 1
+    assert all(doc["status"] in ("ok", "unmet", "error") for doc in docs[:-1])
+    assert docs[-1]["pass"] + docs[-1]["fail"] == len(lines)
