@@ -87,7 +87,7 @@ def unit_alternating_trace(signs: Sequence[int], t: Fraction) -> Fraction:
     for sign in signs:
         if sign not in (1, -1):
             raise BadParameter(f"unit exponents must be +-1, got {sign}")
-    # represent() maps T_B^k to [[1, 0], [-k s, 1]], so b^sign is B^-sign
+    # represent() reads no entry of N and maps T_B^k to [[1, 0], [-k s, 1]], so b^sign is B^-sign
     w = word(("A", sign) if i % 2 == 0 else ("B", -sign) for i, sign in enumerate(signs))
     m_a, _, _, m_d = represent(w, IntersectionMatrix.of([[1]])).eval_at(Fraction(t))
     return m_a + m_d

@@ -13,9 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .applications import (
@@ -394,8 +393,7 @@ def do_verify_sample(count, seed, mmax, start, cap):
 # the subcommand table: argparse, batch validation and dispatch all read it
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One parameter of a mode.
 
     ``name`` is the batch key and the handler's keyword.  ``read`` turns a
@@ -413,8 +411,10 @@ class Param:
     help: str | None = None
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(NamedTuple):
+    """One subcommand: its batch mode name, its command-line words, its help
+    line, its handler and its parameters."""
+
     name: str
     command: tuple[str, ...]
     help: str
@@ -430,6 +430,7 @@ CONFIG = Param("config", _config, required=True)
 WORD = Param("word", _word, required=True)
 M_OVERRIDE = Param("M", int, help="override the projection constant M")
 MMAX = Param("mmax", int, 4)
+GROUP_HELP = {"farey": "torus backend"}
 THEOREMS = ("auto", "main31", "cycle32", "twomulti34", "multicycle35", "penner")
 
 MODES = {mode.name: mode for mode in (
@@ -445,7 +446,8 @@ MODES = {mode.name: mode for mode in (
         CONFIG, WORD, Param("intersection", int), M_OVERRIDE)),
     Mode("raag", ("raag",), "twist power thresholds", do_raag, (
         CONFIG,
-        Param("raag_mode", required=True, choices=(FREE_CURVES, TWO_MULTICURVES, MULTICURVES), flag="--mode"),
+        Param("raag_mode", required=True, choices=(FREE_CURVES, TWO_MULTICURVES, MULTICURVES),
+              flag="--mode"),
         Param("curves", _names, help="comma-separated curve names"),
         Param("multicurves", _names, help="comma-separated multicurve names"), M_OVERRIDE)),
     Mode("farey_dist", ("farey", "dist"), "Farey graph distance", do_farey_dist, (
@@ -529,9 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if len(mode.command) == 2:
             group = mode.command[0]
             if group not in groups:
-                groups[group] = sub.add_parser(group, parents=[common]).add_subparsers(
-                    dest=f"{group}_command", required=True
-                )
+                p = sub.add_parser(group, parents=[common], help=GROUP_HELP[group])
+                groups[group] = p.add_subparsers(dest=f"{group}_command", required=True)
             where = groups[group]
         p = where.add_parser(mode.command[-1], parents=[common], help=mode.help)
         p.set_defaults(mode=mode.name)
@@ -541,12 +542,21 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(prm.name, choices=choices, help=prm.help)
             elif prm.flag is not None:
                 flag = f"--{prm.name}" if prm.flag == "--" else prm.flag
-                p.add_argument(flag, dest=prm.name, required=prm.required, choices=choices, help=prm.help)
+                p.add_argument(
+                    flag, dest=prm.name, required=prm.required, choices=choices, help=prm.help
+                )
 
     p = sub.add_parser("batch", parents=[common], help="run a JSONL experiment file")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
+
+
+def _json_line(line: str):
+    try:
+        return json.loads(line)
+    except ValueError as exc:  # bad JSON, or an integer longer than Python converts
+        raise MalformedInput(f"bad JSON: {exc}") from None
 
 
 def _run_batch(path: str, seed: int, fmt: str) -> int:
@@ -562,24 +572,18 @@ def _run_batch(path: str, seed: int, fmt: str) -> int:
         if not line:
             continue
         try:
-            instance = json.loads(line)
+            instance = _json_line(line)
             if not isinstance(instance, dict) or "mode" not in instance:
                 raise MalformedInput("each instance needs a 'mode' field")
             params = dict(instance)
             mode = params.pop("mode")
-            if isinstance(mode, str) and "seed" in getattr(MODES.get(mode), "keys", ()):
+            if isinstance(mode, str) and mode in MODES and "seed" in MODES[mode].keys:
                 params.setdefault("seed", seed)
             doc, status = run_instance(mode, params)
         except TwistlabError as exc:
             doc = {
                 "tool_version": __version__,
                 "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-            status = "error"
-        except json.JSONDecodeError as exc:
-            doc = {
-                "tool_version": __version__,
-                "error": {"type": "MalformedInput", "message": f"bad JSON: {exc}"},
             }
             status = "error"
         doc["status"] = status

@@ -363,6 +363,16 @@ def test_former_crash_is_malformed_input(capsys, tmp_path, line):
     assert docs[2] == {"pass": 1, "fail": 1}
 
 
+def test_overlong_integer_is_bad_json(capsys, tmp_path):
+    batch = tmp_path / "long.jsonl"
+    batch.write_text('{"mode": "farey_dist", "x": ' + "1" * 5000 + "}\n")
+    code, out, _ = _run(capsys, ["batch", str(batch)])
+    docs = [json.loads(line) for line in out.strip().splitlines()]
+    assert docs[0]["error"]["type"] == "MalformedInput"
+    assert docs[0]["error"]["message"].startswith("bad JSON: ")
+    assert docs[1] == {"pass": 0, "fail": 1}
+
+
 # one good line per mode; the property perturbs these
 GOOD_LINES = {
     "analyze": {"config": PAIR_CONFIG, "word": "a^201 b^-201"},
