@@ -352,11 +352,9 @@ def do_farey_verify(a, b, word, exponents, mmax, threshold):
     if word is not None:
         if set(word.curves()) - {"a", "b"}:
             raise MalformedWord("verify words use the letters a and b only")
-        exponents = []
-        for i, s in enumerate(word):
-            if s.curve != ("a" if i % 2 == 0 else "b"):
-                raise MalformedWord("verify words must alternate a, b, a, b, ...")
-            exponents.append(s.exponent)
+        if any(s.curve != "ab"[i % 2] for i, s in enumerate(word)):
+            raise MalformedWord("verify words must alternate a, b, a, b, ...")
+        exponents = [s.exponent for s in word]
     elif exponents is None:
         raise MalformedInput("farey_verify needs a word or exponents")
     report = verify_main_theorem(a, b, exponents, mmax, threshold)

@@ -326,13 +326,6 @@ def test_bad_matrix_file_exit_two(capsys, tmp_path, matrix):
     assert err.startswith("twistlab: ")
 
 
-@pytest.mark.parametrize("argv", [["thurston", "--matrix", "N.json", "--word", "A"], ["farey", "dist", "1/0", "3/5"]])
-def test_m_rejected_where_no_config_is_read(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--M", "5"])
-    assert exc.value.code == 2
-
-
 def test_unknown_batch_key_rejected(capsys, tmp_path):
     docs = _batch(capsys, tmp_path, [{"mode": "farey_dist", "x": "1/0", "y": "3/5", "z": 1}])
     assert docs[0]["error"] == {"type": "MalformedInput", "message": "unknown farey_dist parameters: ['z']"}

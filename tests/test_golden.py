@@ -13,7 +13,6 @@ import contextlib
 import io
 import json
 import os
-import sys
 import tempfile
 
 import pytest
@@ -170,4 +169,3 @@ if __name__ == "__main__":
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(recorded, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    sys.exit(0)
