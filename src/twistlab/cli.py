@@ -196,14 +196,21 @@ def _names(value) -> list[str]:
     raise TypeError("expected an array of names")
 
 
+def _int(value) -> int:
+    """A JSON integer (not a boolean), or a decimal string from the command line."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _ints(value) -> list[int]:
     if not isinstance(value, list):
         raise TypeError("expected an array of integers")
-    return [int(e) for e in value]
+    return [_int(e) for e in value]
 
 
 def _positive(value) -> int:
-    n = int(value)
+    n = _int(value)
     if n < 1:
         raise ValueError(f"must be a positive integer, got {n}")
     return n
@@ -239,9 +246,9 @@ def _matrix(value) -> IntersectionMatrix:
                 value = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise MalformedInput(f"cannot read matrix: {exc}") from None
-    if not isinstance(value, list):
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise MalformedInput("matrix must be a JSON array of rows")
-    return IntersectionMatrix.of(value)
+    return IntersectionMatrix.of([_ints(row) for row in value])
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +433,8 @@ class Mode(NamedTuple):
 
 CONFIG = Param("config", _config, required=True)
 WORD = Param("word", _word, required=True)
-M_OVERRIDE = Param("M", int, help="override the projection constant M")
-MMAX = Param("mmax", int, 4)
+M_OVERRIDE = Param("M", _int, help="override the projection constant M")
+MMAX = Param("mmax", _int, 4)
 GROUP_HELP = {"farey": "torus backend"}
 THEOREMS = ("auto", "main31", "cycle32", "twomulti34", "multicycle35", "penner")
 
@@ -441,7 +448,7 @@ MODES = {mode.name: mode for mode in (
     Mode("minword", ("minword",), "collect a word per curve", do_minword, (
         CONFIG, WORD, Param("A", required=True), Param("B", required=True), M_OVERRIDE)),
     Mode("ratio", ("ratio",), "curve-graph vs Teichmueller ratio", do_ratio, (
-        CONFIG, WORD, Param("intersection", int), M_OVERRIDE)),
+        CONFIG, WORD, Param("intersection", _int), M_OVERRIDE)),
     Mode("raag", ("raag",), "twist power thresholds", do_raag, (
         CONFIG,
         Param("raag_mode", required=True, choices=(FREE_CURVES, TWO_MULTICURVES, MULTICURVES),
@@ -452,10 +459,10 @@ MODES = {mode.name: mode for mode in (
         Param("x", _slope, required=True, flag=""), Param("y", _slope, required=True, flag=""))),
     Mode("farey_verify", ("farey", "verify"), "torus distance experiment", do_farey_verify, (
         Param("a", _slope, required=True), Param("b", _slope, required=True), Param("word", _word),
-        Param("exponents", _ints, flag=None), MMAX, Param("threshold", int))),
+        Param("exponents", _ints, flag=None), MMAX, Param("threshold", _int))),
     Mode("verify_sample", ("farey", "sample"), "sampled torus distance experiments", do_verify_sample, (
-        Param("count", int, 25), Param("seed", int, DEFAULT_SEED), MMAX, Param("start", _positive, 201),
-        Param("cap", int, 2**15))),
+        Param("count", _int, 25), Param("seed", _int, DEFAULT_SEED), MMAX, Param("start", _positive, 201),
+        Param("cap", _int, 2**15))),
 )}
 
 

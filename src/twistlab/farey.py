@@ -2,8 +2,9 @@
 
 Vertices of the torus curve graph are slopes p/q (with 1/0 for the vertical
 curve), and two slopes are joined exactly when they intersect once.  This
-module computes distances two independent ways: a continued-fraction
-algorithm that handles astronomically large slopes, and a breadth-first
+module computes distances two independent ways: one pass over the
+continued-fraction terms, whose cost grows with their number and not their
+size (so slopes like 2/(2*10**100 + 1) stay cheap), and a breadth-first
 search restricted to a magnitude budget that serves as its oracle.
 
 The annular projection model normalizes the core to 1/0 by a canonical
@@ -167,104 +168,102 @@ def _normalizer_to_infinity(x: Slope) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# distance: minimal integer continued fractions
+# distance: one pass over the continued-fraction terms
 
-def _cf_distances(num: int, den: int) -> tuple[int, dict[tuple[int, int], int]]:
-    """Distance from 1/0 to num/den plus the memo table used to get it.
 
-    States are fractions n/d with 0 < n < d; each Farey step moves to some
-    integer and inverts, so the two useful successors shrink the denominator
-    to n or d - n.  Taking the best of the two matches the nearest-integer
-    continued fraction, which is geodesic in the Farey graph; the
-    breadth-first oracle cross-checks this on small slopes.
+def _tail_distances(num: int, den: int) -> tuple[list[int], list[int]]:
+    """Partial quotients [a1, ..., am] of num/den = [a0; a1, ..., am] (den > 0)
+    and ``dists``: dists[j] is the distance from 1/0 to any slope whose
+    continued fraction ends in a_{j+1}, ..., am; past the end is 1/0 itself,
+    so dists[m + 1] = 0.
+
+    A Farey step from x moves to floor(x) or ceil(x) and inverts, landing on
+    [a1; a2, ...] or on [1; a1 - 1, a2, ...].  Going on down the second
+    branch walks a1 one unit at a time, which sums to a1 + min(dists[1],
+    dists[2]), so one bottom-up pass over the terms gives every tail
+    (geodesic continued fractions: Beardon, Hockman and Short, 2012).
+
+    >>> _tail_distances(3, 5)
+    ([1, 1, 2], [3, 2, 2, 1, 0])
     """
-    memo: dict[tuple[int, int], int] = {}
-    if den < 0:
-        num, den = -num, -den
-    if den == 0:
-        return 0, memo
-    if den == 1:
-        return 1, memo
-    num %= den
-    stack = [(num, den)]
-    while stack:
-        n, d = stack[-1]
-        if (n, d) in memo:
-            stack.pop()
-            continue
-        pending = []
-        children = []
-        for nd in (n, d - n):
-            if nd == 1:
-                children.append(1)
-            else:
-                key = (d % nd, nd)
-                if key in memo:
-                    children.append(memo[key])
-                else:
-                    pending.append(key)
-        if pending:
-            stack.extend(pending)
-        else:
-            memo[(n, d)] = 1 + min(children)
-            stack.pop()
-    return memo[(num, den)], memo
+    quotients = []
+    a, b = den, num % den
+    while b:
+        q, r = divmod(a, b)
+        quotients.append(q)
+        a, b = b, r
+    dists = [0, 1]
+    for q in reversed(quotients):
+        dists.append(min(1 + dists[-1], q + min(dists[-1], dists[-2])))
+    dists.reverse()
+    return quotients, dists
+
+
+def _from_infinity(x: Slope, y: Slope) -> tuple[Mat, int, int]:
+    """A determinant-1 map v with v(x) = 1/0, and v(y) as num/den, den >= 0."""
+    v = _normalizer_to_infinity(x)
+    a, b, c, d = v
+    num, den = a * y.p + b * y.q, c * y.p + d * y.q
+    return (v, -num, -den) if den < 0 else (v, num, den)
 
 
 def farey_distance(x: Slope, y: Slope) -> int:
-    """Exact Farey-graph distance between two slopes.
+    """Exact Farey-graph distance between two slopes, in time linear in the
+    number of continued-fraction terms, whatever their size.
 
     >>> farey_distance(INFINITY, Slope(0, 1))
     1
     >>> farey_distance(INFINITY, Slope(3, 5))
     3
+    >>> farey_distance(INFINITY, Slope(2, 2 * 10**100 + 1))
+    3
     """
     if x == y:
         return 0
-    v = _normalizer_to_infinity(x)
-    a, b, c, d = v
-    num = a * y.p + b * y.q
-    den = c * y.p + d * y.q
-    dist, _ = _cf_distances(num, den)
-    return dist
+    _, num, den = _from_infinity(x, y)
+    return _tail_distances(num, den)[1][0]
 
 
 def farey_geodesic(x: Slope, y: Slope) -> list[Slope]:
-    """One geodesic from x to y, reconstructed from the distance table."""
+    """One geodesic from x to y: step to the floor or the ceil, whichever
+    lands nearer, taking the floor on a tie.
+
+    The current slope's continued fraction is quotients[j:] with c taken off
+    its first term, so both candidates read the table of _tail_distances.
+
+    >>> farey_geodesic(INFINITY, Slope(3, 5))
+    [Slope(1, 0), Slope(0, 1), Slope(1, 2), Slope(3, 5)]
+    """
     if x == y:
         return [x]
-    v = _normalizer_to_infinity(x)
-    v_inv = mat_inv(v)
-    a, b, c, d = v
-    num = a * y.p + b * y.q
-    den = c * y.p + d * y.q
-    if den < 0:
-        num, den = -num, -den
-    _, memo = _cf_distances(num, den)
-
+    v, num, den = _from_infinity(x, y)
+    quotients, dists = _tail_distances(num, den)
     path = [x]
-    acc = v_inv
+    acc = mat_inv(v)
     cur_n, cur_d = num, den
-    while True:
-        if cur_d == 1:
-            step = cur_n
-            done = True
+    j = c = 0
+    positive = True  # the floor step lands on quotients[j + 1:]
+    while cur_d != 1:
+        rem = cur_n % cur_d
+        head = quotients[j] - c
+        regular = dists[j + 1]
+        if head == 1:
+            other = dists[j + 2]
         else:
-            rem = cur_n % cur_d
-            floor = (cur_n - rem) // cur_d
-            d_floor = 1 if rem == 1 else memo[(cur_d % rem, rem)]
-            up = cur_d - rem
-            d_ceil = 1 if up == 1 else memo[(cur_d % up, up)]
-            if d_floor <= d_ceil:
-                step, nxt = floor, (cur_d, rem)
-            else:
-                step, nxt = floor + 1, (-cur_d, up)
-            done = False
-        acc = mat_mul(acc, (step, 1, 1, 0))
+            other = min(1 + regular, head - 1 + min(regular, dists[j + 2]))
+        take_floor = regular <= other if positive else other <= regular
+        if take_floor == positive:
+            j, c = j + 1, 0
+        elif head > 1:
+            c += 1
+        else:
+            j, c = j + 2, 0
+        positive = take_floor
+        acc = mat_mul(acc, ((cur_n - rem) // cur_d + (not take_floor), 1, 1, 0))
         path.append(mat_apply(acc, INFINITY))
-        if done:
-            break
-        cur_n, cur_d = nxt
+        cur_n, cur_d = (cur_d, rem) if take_floor else (-cur_d, cur_d - rem)
+    acc = mat_mul(acc, (cur_n, 1, 1, 0))
+    path.append(mat_apply(acc, INFINITY))
     assert path[-1] == y
     return path
 

@@ -347,13 +347,49 @@ CRASHERS = [
 ]
 
 
-@pytest.mark.parametrize("line", CRASHERS)
+# each of these numbers used to be cut down to an integer and run
+NOT_INTEGERS = [
+    {"mode": "thurston", "matrix": [[1.9]], "word": "A B^-1"},
+    {"mode": "thurston", "matrix": [[True]], "word": "A B^-1"},
+    {"mode": "farey_verify", "a": "1/0", "b": "3/5", "word": "a^201 b^-201", "mmax": 2.7},
+    {"mode": "farey_verify", "a": "1/0", "b": "3/5", "word": "a^201 b^-201", "mmax": True},
+    {"mode": "farey_verify", "a": "1/0", "b": "3/5", "exponents": [201.5, -201]},
+    {"mode": "farey_verify", "a": "1/0", "b": "3/5", "exponents": [201, -201], "threshold": 3.5},
+    {"mode": "verify_sample", "count": 1.5, "cap": 201},
+    {"mode": "ratio", "config": PAIR_CONFIG, "word": "a^201 b^-201", "intersection": 1.0},
+    {"mode": "analyze", "config": PAIR_CONFIG, "word": "a^201 b^-201", "M": 100.0},
+]
+
+
+@pytest.mark.parametrize("line", CRASHERS + NOT_INTEGERS)
 def test_former_crash_is_malformed_input(capsys, tmp_path, line):
     docs = _batch(capsys, tmp_path, [line, {"mode": "farey_dist", "x": "1/0", "y": "3/5"}])
     assert docs[0]["status"] == "error"
     assert docs[0]["error"]["type"] == "MalformedInput"
     assert docs[1]["result"] == {"distance": 3}
     assert docs[2] == {"pass": 1, "fail": 1}
+
+
+def test_float_on_command_line_exit_two(capsys):
+    code, out, err = _run(capsys, ["farey", "verify", "--a", "1/0", "--b", "3/5", "--word", "a^201 b^-201", "--mmax", "2.7"])
+    assert code == 2
+    assert not out
+    assert err.startswith("twistlab: bad mmax: ")
+
+
+def test_farey_dist_huge_quotient(capsys):
+    code, out, _ = _run(capsys, ["farey", "dist", "1/0", "2/2000000001"])
+    assert code == 0
+    assert json.loads(out)["result"] == {"distance": 3}
+
+
+def test_farey_sample_default_cap_matches_nothing(capsys):
+    # the ladder chases the general-surface count, which the torus never meets
+    code, out, _ = _run(capsys, ["farey", "sample", "--count", "3", "--mmax", "2"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["matched"] == 0
+    assert [row["achieved_threshold"] for row in result["instances"]] == [None] * 3
 
 
 def test_overlong_integer_is_bad_json(capsys, tmp_path):

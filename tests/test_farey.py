@@ -301,3 +301,18 @@ def test_distance_translation_invariant(p, n):
     x = Slope(p, 7)
     moved = mat_apply(twist_matrix(INFINITY, n), x)
     assert farey_distance(INFINITY, x) == farey_distance(INFINITY, moved)
+
+
+def test_torus_translation_count_at_small_powers_and_large_m():
+    # d(v1, f^m v1) = 2mnl already from |e| = 3 on, and stays exact far past
+    # the m <= 4 of the acceptance sample; five fixed instances per (l, n)
+    rng = random.Random(20261018)
+    pools = {l: [s for s in slopes_within(20) if farey_distance(INFINITY, s) == l] for l in (3, 4)}
+    for l in (3, 4):
+        for n in (1, 2, 3):
+            for _ in range(5):
+                b = rng.choice(pools[l])
+                exps = [rng.choice((1, -1)) * rng.randint(3, 8) for _ in range(2 * n)]
+                rep = verify_main_theorem(INFINITY, b, exps, m_max=50)
+                assert rep.l == l and rep.n == n
+                assert [r.distance for r in rep.rows] == [2 * m * n * l for m in range(1, 51)], (b, exps)
