@@ -208,8 +208,8 @@ def _from_infinity(x: Slope, y: Slope) -> tuple[Mat, int, int]:
 
 
 def farey_distance(x: Slope, y: Slope) -> int:
-    """Exact Farey-graph distance between two slopes, in time linear in the
-    number of continued-fraction terms, whatever their size.
+    """Exact Farey-graph distance between two slopes: one Euclidean division
+    per continued-fraction term, whatever the size of the terms.
 
     >>> farey_distance(INFINITY, Slope(0, 1))
     1
@@ -229,7 +229,9 @@ def farey_geodesic(x: Slope, y: Slope) -> list[Slope]:
     lands nearer, taking the floor on a tie.
 
     The current slope's continued fraction is quotients[j:] with c taken off
-    its first term, so both candidates read the table of _tail_distances.
+    its first term.  One step lands on quotients[j + 1:]; the other on
+    [1; head - 1] + quotients[j + 1:], priced by the tail recurrence (a zero
+    term merges its neighbours), so both read the table of _tail_distances.
 
     >>> farey_geodesic(INFINITY, Slope(3, 5))
     [Slope(1, 0), Slope(0, 1), Slope(1, 2), Slope(3, 5)]
@@ -247,10 +249,7 @@ def farey_geodesic(x: Slope, y: Slope) -> list[Slope]:
         rem = cur_n % cur_d
         head = quotients[j] - c
         regular = dists[j + 1]
-        if head == 1:
-            other = dists[j + 2]
-        else:
-            other = min(1 + regular, head - 1 + min(regular, dists[j + 2]))
+        other = min(1 + regular, head - 1 + min(regular, dists[j + 2]))
         take_floor = regular <= other if positive else other <= regular
         if take_floor == positive:
             j, c = j + 1, 0
