@@ -246,7 +246,7 @@ def _matrix(value) -> IntersectionMatrix:
                 value = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise MalformedInput(f"cannot read matrix: {exc}") from None
-    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+    if not isinstance(value, list):
         raise MalformedInput("matrix must be a JSON array of rows")
     return IntersectionMatrix.of([_ints(row) for row in value])
 

@@ -371,7 +371,8 @@ def test_former_crash_is_malformed_input(capsys, tmp_path, line):
 
 
 def test_float_on_command_line_exit_two(capsys):
-    code, out, err = _run(capsys, ["farey", "verify", "--a", "1/0", "--b", "3/5", "--word", "a^201 b^-201", "--mmax", "2.7"])
+    argv = ["farey", "verify", "--a", "1/0", "--b", "3/5", "--word", "a^201 b^-201", "--mmax", "2.7"]
+    code, out, err = _run(capsys, argv)
     assert code == 2
     assert not out
     assert err.startswith("twistlab: bad mmax: ")
