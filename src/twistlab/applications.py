@@ -10,10 +10,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import bounds_two_multicurve
-from .config import CurveSystem, SurfaceKind, dist_multicurve, proj_multicurve
+from .config import CurveSystem, dist_multicurve, proj_multicurve
 from .errors import BadParameter, ConditionUnmet, NotHyperbolic, ZeroTotal
-from .exact import Interval, log_enclosure, sqrt_enclosure
-from .thurston import IntersectionMatrix, represent
+from .exact import Interval, log_enclosure, p_eval
+from .thurston import IntersectionMatrix, lambda_log_enclosure, represent
 from .words import TwistWord, block_decompose, normalize, word
 
 
@@ -87,9 +87,9 @@ def unit_alternating_trace(signs: Sequence[int], t: Fraction) -> Fraction:
     for sign in signs:
         if sign not in (1, -1):
             raise BadParameter(f"unit exponents must be +-1, got {sign}")
-    # represent() reads no entry of N and maps T_B^k to [[1, 0], [-k s, 1]], so b^sign is B^-sign
+    # represent() maps T_B^k to [[1, 0], [-k s, 1]], so b^sign is B^-sign
     w = word(("A", sign) if i % 2 == 0 else ("B", -sign) for i, sign in enumerate(signs))
-    m_a, _, _, m_d = represent(w, IntersectionMatrix.of([[1]])).eval_at(Fraction(t))
+    m_a, _, _, m_d = represent(w).eval_at(Fraction(t))
     return m_a + m_d
 
 
@@ -112,19 +112,17 @@ class RatioReport:
         return self.tau[1] <= self.optimizer_upper[1]
 
 
-def ratio_report(
-    word_in: TwistWord,
-    sys: CurveSystem,
-    N: IntersectionMatrix,
-    surface: SurfaceKind | None = None,
-    precision: Fraction = Fraction(1, 10**12),
-) -> RatioReport:
+RATIO_PRECISION = Fraction(1, 10**12)
+
+
+def ratio_report(word_in: TwistWord, sys: CurveSystem, N: IntersectionMatrix) -> RatioReport:
     """Certified ratio data for a word of +-(2M+1) twists on two curves.
 
     The curve-graph length is the exact 2n(l-2); the Teichmueller length is
     log of the stretch factor, computed through the two-generator
-    representation evaluated exactly at s = i(a, b).  The report compares
-    tau against log(2t)/(l-2) where t = i(a, b) * (2M+1).
+    representation evaluated exactly at s = i(a, b), with lambda enclosed to
+    ``RATIO_PRECISION``.  The report compares tau against log(2t)/(l-2) where
+    t = i(a, b) * (2M+1).
     """
     w = normalize(word_in)
     curves = w.curves()
@@ -146,31 +144,23 @@ def ratio_report(
     t = i_ab * unit
 
     relabeled = word((("A" if s.curve == a else "B"), s.exponent) for s in w)
-    rep = represent(relabeled, N)
-    m_a, m_b, m_c, m_d = rep.eval_at(Fraction(i_ab))
-    trace = m_a + m_d
-    assert trace.denominator == 1
-    trace = int(trace)
+    trace = p_eval(represent(relabeled).trace_in_mu(), i_ab**2)
     if abs(trace) <= 2:
         raise NotHyperbolic(f"|trace| = {abs(trace)} <= 2 at s = {i_ab}")
-    disc = trace * trace - 4
-    sq = sqrt_enclosure(Fraction(disc), precision)
-    lam = ((abs(trace) + sq[0]) / 2, (abs(trace) + sq[1]) / 2)
-    lt = (log_enclosure(lam[0], precision / 2)[0], log_enclosure(lam[1], precision / 2)[1])
+    enc = lambda_log_enclosure((Fraction(abs(trace)), Fraction(abs(trace))), RATIO_PRECISION)
+    lt = enc.log
     tau = (lt[0] / lc, lt[1] / lc)
-    opt_log = log_enclosure(Fraction(2 * t), precision / 2)
+    opt_log = log_enclosure(Fraction(2 * t), RATIO_PRECISION / 2)
     optimizer = (opt_log[0] / (l - 2), opt_log[1] / (l - 2))
-    if surface is None:
-        surface = sys.surface
     return RatioReport(
         lc=lc,
         lt=lt,
         tau=tau,
         optimizer_upper=optimizer,
-        omega=surface.omega if surface is not None else None,
+        omega=sys.surface.omega if sys.surface is not None else None,
         t=t,
         trace=trace,
-        lam=lam,
+        lam=enc.lam,
     )
 
 

@@ -38,7 +38,7 @@ from .bounds import (
     penner_certificate,
 )
 from .config import CurveSystem, load_curve_system, load_curve_system_file, validate
-from .errors import MalformedConfig, MalformedInput, MalformedWord, TwistlabError
+from .errors import MalformedConfig, MalformedInput, MalformedWord, NotHyperbolic, TwistlabError
 from .farey import (
     Slope,
     VerificationReport,
@@ -47,14 +47,7 @@ from .farey import (
     sample_main_equality,
     verify_main_theorem,
 )
-from .thurston import (
-    HYPERBOLIC,
-    IntersectionMatrix,
-    classify,
-    perron_eigenvalue,
-    represent,
-    stretch_factor,
-)
+from .thurston import IntersectionMatrix, perron_eigenvalue, represent, stretch_factor
 from .words import TwistWord, parse_word
 
 DEFAULT_SEED = 20260808
@@ -296,8 +289,11 @@ def do_analyze(config, M, word, theorem, A, B, cycle):
 
 def do_thurston(matrix, word, precision):
     mu = perron_eigenvalue(matrix)
-    rep = represent(word, matrix)
-    kind = classify(rep, mu)
+    rep = represent(word)
+    try:
+        enc = stretch_factor(rep, mu, precision)
+    except NotHyperbolic:
+        enc = None
     mu_refined = mu.refined(precision)
     result = {
         "mu_interval": interval_json((mu_refined.lo, mu_refined.hi)),
@@ -305,10 +301,9 @@ def do_thurston(matrix, word, precision):
             "s_coefficients": list(rep.trace_poly()),
             "mu_coefficients": list(rep.trace_in_mu()),
         },
-        "hyperbolic": kind == HYPERBOLIC,
+        "hyperbolic": enc is not None,
     }
-    if kind == HYPERBOLIC:
-        enc = stretch_factor(word, matrix, precision)
+    if enc is not None:
         result["lambda_interval"] = interval_json(enc.lam)
         result["lT_interval"] = interval_json(enc.log)
     echo = {"word": str(word), "matrix": [list(r) for r in matrix.rows]}

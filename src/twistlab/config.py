@@ -55,9 +55,9 @@ class CurveSystem:
         self,
         curves: Iterable[str],
         multicurves: Mapping[str, Iterable[str]] | None = None,
-        dist: Iterable[tuple[str, str, int]] | Mapping[tuple[str, str], int] | None = None,
+        dist: Iterable[tuple[str, str, int]] | None = None,
         proj: Iterable[tuple[str, str, str, int]] | None = None,
-        inter: Iterable[tuple[str, str, int]] | Mapping[tuple[str, str], int] | None = None,
+        inter: Iterable[tuple[str, str, int]] | None = None,
         M: int = DEFAULT_M,
         surface: SurfaceKind | None = None,
         m_is_default: bool | None = None,
@@ -66,10 +66,6 @@ class CurveSystem:
         self.multicurves: dict[str, tuple[str, ...]] = {
             name: tuple(members) for name, members in (multicurves or {}).items()
         }
-        if isinstance(dist, Mapping):
-            dist = [(a, b, v) for (a, b), v in dist.items()]
-        if isinstance(inter, Mapping):
-            inter = [(a, b, v) for (a, b), v in inter.items()]
         self.dist_entries: tuple[tuple[str, str, int], ...] = tuple(dist or ())
         self.proj_entries: tuple[tuple[str, str, str, int], ...] = tuple(proj or ())
         self.inter_entries: tuple[tuple[str, str, int], ...] = tuple(inter or ())

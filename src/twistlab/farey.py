@@ -7,8 +7,8 @@ continued-fraction terms, whose cost grows with their number and not their
 size (so slopes like 2/(2*10**100 + 1) stay cheap), and a breadth-first
 search restricted to a magnitude budget that serves as its oracle.
 
-The annular projection model normalizes the core to 1/0 by a canonical
-unimodular frame and measures floor differences.  It reproduces the twist
+The annular projection model sends the core to 1/0 by a determinant-1 map
+and measures floor differences, which do not depend on the choice of map.  It reproduces the twist
 identity proj(c; x, T_c^n x) = |n| + 2 exactly; against the true annular
 curve graph it is only claimed up to a bounded additive error, and reports
 built on it say so.
@@ -102,19 +102,6 @@ def mat_inv(m: Mat) -> Mat:
     a, b, c, d = m
     assert a * d - b * c == 1
     return (d, -b, -c, a)
-
-
-def mat_pow(m: Mat, k: int) -> Mat:
-    if k < 0:
-        return mat_pow(mat_inv(m), -k)
-    out = MAT_ID
-    base = m
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
 
 
 def mat_apply(m: Mat, s: Slope) -> Slope:
@@ -382,21 +369,6 @@ def bfs_distance_table(sources: Sequence[Slope], budget: int) -> dict[Slope, dic
 # annular projection model
 
 
-def _core_frame(core: Slope) -> Mat:
-    """Canonical determinant-1 frame whose first column is the core.
-
-    The second column is the extended-Euclid cofactor with the smallest
-    nonnegative representative; any other choice shifts images by an integer
-    and leaves floor differences unchanged.
-    """
-    p, q = core.p, core.q
-    if q == 0:
-        return MAT_ID
-    s = pow(p, -1, q)
-    r = (p * s - 1) // q
-    return (p, r, q, s)
-
-
 def annular_distance(core: Slope, x: Slope, y: Slope) -> int:
     """Projection distance at the core: floor difference of the images + 2.
 
@@ -411,8 +383,9 @@ def annular_distance(core: Slope, x: Slope, y: Slope) -> int:
     """
     if intersection(core, x) == 0 or intersection(core, y) == 0:
         raise CoreDisjoint(f"both curves must cross the core {core}")
-    frame_inv = mat_inv(_core_frame(core))
-    a, b, c, d = frame_inv
+    # any determinant-1 map sending the core to 1/0 will do: two such maps
+    # differ by a translation x -> x + k, which keeps floor differences
+    a, b, c, d = _normalizer_to_infinity(core)
     xv = Fraction(a * x.p + b * x.q, c * x.p + d * x.q)
     yv = Fraction(a * y.p + b * y.q, c * y.p + d * y.q)
     if xv == yv:

@@ -57,6 +57,8 @@ class IntersectionMatrix:
         width = len(self.rows[0])
         if any(len(r) != width for r in self.rows):
             raise DegenerateMatrix("intersection matrix must be rectangular")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for r in self.rows for v in r):
+            raise DegenerateMatrix("intersection numbers must be integers")
         if any(v < 0 for r in self.rows for v in r):
             raise DegenerateMatrix("intersection numbers are nonnegative")
         if any(all(v == 0 for v in r) for r in self.rows):
@@ -67,7 +69,9 @@ class IntersectionMatrix:
 
     @staticmethod
     def of(rows: Iterable[Iterable[int]]) -> "IntersectionMatrix":
-        return IntersectionMatrix(tuple(tuple(int(v) for v in r) for r in rows))
+        """The matrix of ``rows``.  Entries are taken as given, not converted:
+        a float, string or boolean entry raises ``DegenerateMatrix``."""
+        return IntersectionMatrix(tuple(tuple(r) for r in rows))
 
     def gram(self) -> list[list[int]]:
         """N N^T, the square matrix whose top eigenvalue drives the picture."""
@@ -136,12 +140,15 @@ def perron_eigenvalue(N: IntersectionMatrix) -> AlgebraicReal:
     return mu
 
 
-def represent(word: TwistWord, N: IntersectionMatrix, a: str = "A", b: str = "B") -> RepMatrix:
-    """Image of a word in the two multicurve twists, entries exact in s."""
-    letters = {a: 0, b: 1}
+def represent(word: TwistWord) -> RepMatrix:
+    """Image of a word in the two multicurve twists A and B, entries exact in s.
+
+    The image does not depend on the intersection matrix: s stays formal.
+    """
+    letters = {"A": 0, "B": 1}
     for s in word:
         if s.curve not in letters:
-            raise WrongAlphabet(f"syllable {s} is not on the twist alphabet {{{a}, {b}}}")
+            raise WrongAlphabet(f"syllable {s} is not on the twist alphabet {{A, B}}")
     out = REP_IDENTITY
     for s in word:
         out = out * _gen_power(letters[s.curve], s.exponent)
@@ -186,40 +193,49 @@ class StretchEnclosure:
         return (self.small_lo, self.small_hi)
 
 
+def lambda_log_enclosure(trace: Interval, precision: Fraction) -> StretchEnclosure | None:
+    """Enclose lambda = (t + sqrt(t^2 - 4)) / 2 and its log for t in ``trace``,
+    an interval of |trace| values.
+
+    Returns None while the interval does not yet exclude 2 or the lambda
+    enclosure is wider than ``precision``; the logarithm enclosure adds at
+    most ``precision`` of its own width.
+    """
+    if trace[0] <= 2:
+        return None
+    disc = iv_mul(trace, trace)
+    sq_lo = sqrt_enclosure(disc[0] - 4, precision / 8)[0]
+    sq_hi = sqrt_enclosure(disc[1] - 4, precision / 8)[1]
+    lam = ((trace[0] + sq_lo) / 2, (trace[1] + sq_hi) / 2)
+    if lam[1] - lam[0] > precision:
+        return None
+    small = ((trace[0] - sq_hi) / 2, (trace[1] - sq_lo) / 2)
+    log_lo = log_enclosure(lam[0], precision / 2)[0]
+    log_hi = log_enclosure(lam[1], precision / 2)[1]
+    return StretchEnclosure(lam[0], lam[1], log_lo, log_hi, small[0], small[1])
+
+
 def stretch_factor(
-    word: TwistWord,
-    N: IntersectionMatrix,
+    rep: RepMatrix,
+    mu: AlgebraicReal,
     precision: Fraction = Fraction(1, 10**9),
 ) -> StretchEnclosure:
-    """Enclose the stretch factor lambda = (|tr| + sqrt(tr^2 - 4)) / 2.
+    """Enclose the stretch factor of the word with image ``rep`` at s = sqrt(mu).
 
     The trace is evaluated on a refined interval for mu until the lambda
-    enclosure is narrower than ``precision``; the logarithm enclosure adds
-    at most ``precision`` of its own width.
+    enclosure is narrower than ``precision``.
     """
     precision = Fraction(precision)
-    rep = represent(normalize(word), N)
-    mu = perron_eigenvalue(N)
     if classify(rep, mu) != HYPERBOLIC:
         raise NotHyperbolic("word image has |trace| <= 2, no stretch factor")
     t_poly = rep.trace_in_mu()
     width = Fraction(1, 4)
     while True:
         mu = mu.refined(width)
-        tr = iv_abs(p_eval_interval(t_poly, mu.lo, mu.hi))
-        if tr[0] > 2:
-            disc = iv_mul(tr, tr)
-            disc = (disc[0] - 4, disc[1] - 4)
-            sq_lo = sqrt_enclosure(disc[0], precision / 8)[0]
-            sq_hi = sqrt_enclosure(disc[1], precision / 8)[1]
-            lam = ((tr[0] + sq_lo) / 2, (tr[1] + sq_hi) / 2)
-            small = ((tr[0] - sq_hi) / 2, (tr[1] - sq_lo) / 2)
-            if lam[1] - lam[0] <= precision:
-                break
+        enc = lambda_log_enclosure(iv_abs(p_eval_interval(t_poly, mu.lo, mu.hi)), precision)
+        if enc is not None:
+            return enc
         width /= 16
-    log_lo = log_enclosure(lam[0], precision / 2)[0]
-    log_hi = log_enclosure(lam[1], precision / 2)[1]
-    return StretchEnclosure(lam[0], lam[1], log_lo, log_hi, small[0], small[1])
 
 
 def is_penner_word(word: TwistWord, a_curves: Iterable[str], b_curves: Iterable[str]) -> bool:

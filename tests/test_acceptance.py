@@ -31,7 +31,7 @@ from twistlab.farey import (
     verify_main_theorem,
     word_matrix,
 )
-from twistlab.thurston import IntersectionMatrix, represent, stretch_factor
+from twistlab.thurston import IntersectionMatrix, perron_eigenvalue, represent, stretch_factor
 from twistlab.words import parse_word, word
 
 SEED = 20260808
@@ -171,7 +171,7 @@ def test_acceptance_4_representation_cross_check():
             for _ in range(rng.randint(1, 6))
         ]
         w = word(items)
-        rep = represent(w, n_one)
+        rep = represent(w)
         evaluated = rep.eval_at(Fraction(1))
         integer = word_matrix((slopes[c], e) for c, e in w.pairs())
         assert tuple(int(v) for v in evaluated) == integer
@@ -179,13 +179,13 @@ def test_acceptance_4_representation_cross_check():
         trace = integer[0] + integer[3]
         if abs(trace) <= 2:
             continue
-        enc = stretch_factor(w, n_one, Fraction(1, 10**12))
+        enc = stretch_factor(rep, perron_eigenvalue(n_one), Fraction(1, 10**12))
         float_lambda = (abs(trace) + math.sqrt(trace * trace - 4)) / 2
         mid = float((enc.lam_lo + enc.lam_hi) / 2)
         worst = max(worst, abs(mid - float_lambda))
         assert abs(mid - float_lambda) <= 1e-9
         hyperbolic_checked += 1
-    golden = stretch_factor(parse_word("A B^-1"), n_one, Fraction(1, 10**12))
+    golden = stretch_factor(represent(parse_word("A B^-1")), perron_eigenvalue(n_one), Fraction(1, 10**12))
     golden_mid = float((golden.lam_lo + golden.lam_hi) / 2)
     golden_err = abs(golden_mid - (3 + math.sqrt(5)) / 2)
     ok = golden_err <= 1e-9

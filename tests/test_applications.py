@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -21,15 +22,16 @@ from twistlab.errors import (
     ZeroTotal,
 )
 from twistlab.thurston import IntersectionMatrix
-from twistlab.words import parse_word
+from twistlab.words import parse_word, word
 
 
-def _singleton_pair(l=3):
+def _singleton_pair(l=3, surface=None):
     return CurveSystem(
         ["a", "b"],
         multicurves={"A": ["a"], "B": ["b"]},
         dist=[("a", "b", l)],
         inter=[("a", "b", 1)],
+        surface=surface,
     )
 
 
@@ -116,9 +118,8 @@ def test_ratio_report_shape_rejection():
 def test_ratio_report_omega():
     rr = ratio_report(
         parse_word("a^201 b^-201"),
-        _singleton_pair(),
+        _singleton_pair(surface=SurfaceKind(2, 1)),
         IntersectionMatrix.of([[1]]),
-        surface=SurfaceKind(2, 1),
     )
     assert rr.omega == 3
 
@@ -216,3 +217,39 @@ def test_ratio_not_hyperbolic_path():
     rr = ratio_report(parse_word("a^3 b^3"), sys_, IntersectionMatrix.of([[1]]))
     assert rr.trace == 2 - 9
     assert rr.tau_within_bound
+
+
+def _integer_trace(exponents, s):
+    """Trace of the product of [[1, e s], [0, 1]] (even places) and
+    [[1, 0], [-e s, 1]] (odd places), in plain integer matrices."""
+    a, b, c, d = 1, 0, 0, 1
+    for j, e in enumerate(exponents):
+        if j % 2 == 0:
+            a, b, c, d = a, a * e * s + b, c, c * e * s + d
+        else:
+            a, b, c, d = a - b * e * s, b, c - d * e * s, d
+    return a + d
+
+
+def test_ratio_report_encloses_isqrt_lambda_and_its_log():
+    # lambda = (|T| + sqrt(T^2 - 4)) / 2 to 12 + 40 digits with math.isqrt,
+    # and its log from decimal at 80 significant digits
+    rng = random.Random(29)
+    scale = 10 ** (12 + 40)
+    for i_ab in range(1, 5):
+        for n in range(1, 4):
+            sys_ = CurveSystem(["a", "b"], dist=[("a", "b", 3)], inter=[("a", "b", i_ab)])
+            unit = 2 * sys_.M + 1
+            exponents = [rng.choice([1, -1]) * unit for _ in range(2 * n)]
+            w = word(("a" if j % 2 == 0 else "b", e) for j, e in enumerate(exponents))
+            rr = ratio_report(w, sys_, IntersectionMatrix.of([[i_ab]]))
+            t = abs(_integer_trace(exponents, i_ab))
+            root = math.isqrt((t * t - 4) * scale * scale)
+            lam = (Fraction(t * scale + root, 2 * scale), Fraction(t * scale + root + 1, 2 * scale))
+            assert rr.lam[0] <= lam[0] and lam[1] <= rr.lam[1]
+            assert rr.lam[1] - rr.lam[0] <= Fraction(1, 10**12)
+            with localcontext() as ctx:
+                ctx.prec = 80
+                logs = [Fraction((Decimal(x.numerator) / x.denominator).ln()) for x in lam]
+            assert rr.lt[0] <= logs[0] and logs[1] <= rr.lt[1]
+            assert rr.lt[1] - rr.lt[0] <= Fraction(2, 10**12)

@@ -450,3 +450,24 @@ def test_batch_never_raises(capsys, tmp_path, lines):
     assert len(docs) == len(lines) + 1
     assert all(doc["status"] in ("ok", "unmet", "error") for doc in docs[:-1])
     assert docs[-1]["pass"] + docs[-1]["fail"] == len(lines)
+
+
+def test_thurston_computes_mu_and_verdict_once(capsys, tmp_path, monkeypatch):
+    from twistlab import cli, thurston
+
+    calls = []
+    for name in ("perron_eigenvalue", "classify"):
+        original = getattr(thurston, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in (cli, thurston):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    matrix = tmp_path / "N.json"
+    matrix.write_text("[[2, 1], [1, 1]]")
+    code, out, _ = _run(capsys, ["thurston", "--matrix", str(matrix), "--word", "A^3 B^-1"])
+    assert code == 0 and json.loads(out)["result"]["hyperbolic"]
+    assert sorted(calls) == ["classify", "perron_eigenvalue"]

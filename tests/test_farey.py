@@ -19,6 +19,7 @@ from twistlab.farey import (
     intersection,
     mat_apply,
     mat_det,
+    mat_inv,
     mat_mul,
     parse_slope,
     slopes_within,
@@ -162,6 +163,35 @@ def test_annular_examples():
     assert annular_distance(INFINITY, Slope(1, 2), Slope(5, 2)) == 4
     assert annular_distance(INFINITY, Slope(1, 3), Slope(2, 3)) == 2
     assert annular_distance(INFINITY, Slope(1, 2), Slope(1, 2)) == 0
+
+
+def _core_frame_annular_distance(core, x, y):
+    """The former model: the frame (p, r; q, s) with the smallest nonnegative
+    cofactor s = p^-1 mod q sends 1/0 to the core; its inverse is applied."""
+    p, q = core.p, core.q
+    frame = (1, 0, 0, 1)
+    if q != 0:
+        s = pow(p, -1, q)
+        frame = (p, (p * s - 1) // q, q, s)
+    a, b, c, d = mat_inv(frame)
+    xv = Fraction(a * x.p + b * x.q, c * x.p + d * x.q)
+    yv = Fraction(a * y.p + b * y.q, c * y.p + d * y.q)
+    if xv == yv:
+        return 0
+    return abs(xv.numerator // xv.denominator - yv.numerator // yv.denominator) + 2
+
+
+def test_annular_distance_matches_core_frame_oracle():
+    # every crossing triple of slopes within magnitude 5
+    pts = slopes_within(5)
+    checked = 0
+    for core in pts:
+        crossing = [x for x in pts if intersection(core, x) > 0]
+        for x in crossing:
+            for y in crossing:
+                assert annular_distance(core, x, y) == _core_frame_annular_distance(core, x, y)
+                checked += 1
+    assert checked == 60840
 
 
 def test_annular_core_disjoint():

@@ -39,6 +39,12 @@ def test_degenerate_matrices_rejected():
         IntersectionMatrix.of([])
 
 
+@pytest.mark.parametrize("rows", [[[1.9]], [[True]], [["2"]]])
+def test_non_integer_entries_rejected(rows):
+    with pytest.raises(DegenerateMatrix):
+        IntersectionMatrix.of(rows)
+
+
 def test_perron_examples():
     assert perron_eigenvalue(N_ONE).compare(1) == 0
     assert perron_eigenvalue(N_ONES).compare(4) == 0
@@ -53,14 +59,14 @@ def test_perron_dominates_other_eigenvalues():
 
 
 def test_represent_generators():
-    t_a = represent(word([("A", 1)]), N_ONE)
+    t_a = represent(word([("A", 1)]))
     assert (t_a.a, t_a.b, t_a.c, t_a.d) == ((1,), (0, 1), (), (1,))
-    t_b = represent(word([("B", 1)]), N_ONE)
+    t_b = represent(word([("B", 1)]))
     assert (t_b.a, t_b.b, t_b.c, t_b.d) == ((1,), (), (0, -1), (1,))
 
 
 def test_represent_product_example():
-    r = represent(word([("A", 1), ("B", 1)]), N_ONE)
+    r = represent(word([("A", 1), ("B", 1)]))
     assert r.a == (1, 0, -1)  # 1 - s^2
     assert r.b == (0, 1)
     assert r.c == (0, -1)
@@ -68,13 +74,13 @@ def test_represent_product_example():
 
 
 def test_represent_empty_word_is_identity():
-    r = represent(word([]), N_ONE)
+    r = represent(word([]))
     assert (r.a, r.b, r.c, r.d) == ((1,), (), (), (1,))
 
 
 def test_represent_wrong_alphabet():
     with pytest.raises(WrongAlphabet):
-        represent(word([("C", 1)]), N_ONE)
+        represent(word([("C", 1)]))
 
 
 def test_determinant_is_one_symbolically():
@@ -84,7 +90,7 @@ def test_determinant_is_one_symbolically():
             (rng.choice(["A", "B"]), rng.choice([-3, -2, -1, 1, 2, 3]))
             for _ in range(rng.randint(0, 8))
         ]
-        rep = represent(word(items), N_ONE)
+        rep = represent(word(items))
         assert rep.det_poly() == (1,)
 
 
@@ -95,7 +101,7 @@ def test_trace_is_even_in_s():
             (rng.choice(["A", "B"]), rng.choice([-2, -1, 1, 2]))
             for _ in range(rng.randint(1, 8))
         ]
-        rep = represent(word(items), N_ONE)
+        rep = represent(word(items))
         rep.trace_in_mu()  # asserts internally
 
 
@@ -109,27 +115,27 @@ def test_trace_is_even_in_s():
     ),
 )
 def test_represent_is_multiplicative(w1, w2):
-    lhs = represent(word(w1 + w2), N_ONE)
-    rhs = represent(word(w1), N_ONE) * represent(word(w2), N_ONE)
+    lhs = represent(word(w1 + w2))
+    rhs = represent(word(w1)) * represent(word(w2))
     assert (lhs.a, lhs.b, lhs.c, lhs.d) == (rhs.a, rhs.b, rhs.c, rhs.d)
 
 
 def test_classify_examples():
     mu1 = perron_eigenvalue(N_ONE)
-    assert classify(represent(parse_word("A B^-1"), N_ONE), mu1) == HYPERBOLIC
-    assert classify(represent(parse_word("A"), N_ONE), mu1) == NOT_HYPERBOLIC
+    assert classify(represent(parse_word("A B^-1")), mu1) == HYPERBOLIC
+    assert classify(represent(parse_word("A")), mu1) == NOT_HYPERBOLIC
     mu4 = perron_eigenvalue(N_ONES)
-    assert classify(represent(parse_word("A B"), N_ONES), mu4) == NOT_HYPERBOLIC
+    assert classify(represent(parse_word("A B")), mu4) == NOT_HYPERBOLIC
 
 
 def test_classify_needs_exact_boundary_decision():
     # trace polynomial 2 - mu at mu = 4 sits exactly at -2: parabolic
-    rep = represent(parse_word("A B"), N_ONES)
+    rep = represent(parse_word("A B"))
     assert p_eval(rep.trace_in_mu(), 4) == -2
 
 
 def test_stretch_factor_golden():
-    enc = stretch_factor(parse_word("A B^-1"), N_ONE, Fraction(1, 10**12))
+    enc = stretch_factor(represent(parse_word("A B^-1")), perron_eigenvalue(N_ONE), Fraction(1, 10**12))
     golden = (3 + math.sqrt(5)) / 2
     assert enc.lam_hi - enc.lam_lo <= Fraction(1, 10**12)
     assert float(enc.lam_lo) <= golden <= float(enc.lam_hi)
@@ -137,14 +143,14 @@ def test_stretch_factor_golden():
 
 
 def test_stretch_factor_cubed():
-    enc = stretch_factor(parse_word("A^3 B^-3"), N_ONE, Fraction(1, 10**9))
+    enc = stretch_factor(represent(parse_word("A^3 B^-3")), perron_eigenvalue(N_ONE), Fraction(1, 10**9))
     target = (11 + math.sqrt(117)) / 2
     assert float(enc.lam_lo) <= target <= float(enc.lam_hi)
 
 
 def test_stretch_factor_not_hyperbolic():
     with pytest.raises(NotHyperbolic):
-        stretch_factor(parse_word("A B"), N_ONES)
+        stretch_factor(represent(parse_word("A B")), perron_eigenvalue(N_ONES))
 
 
 def test_eigenvalue_product_contains_one():
@@ -156,7 +162,7 @@ def test_eigenvalue_product_contains_one():
             for _ in range(rng.randint(2, 6))
         ]
         try:
-            enc = stretch_factor(word(items), N_ONE, Fraction(1, 10**9))
+            enc = stretch_factor(represent(word(items)), perron_eigenvalue(N_ONE), Fraction(1, 10**9))
         except NotHyperbolic:
             continue
         found += 1
@@ -167,7 +173,7 @@ def test_eigenvalue_product_contains_one():
 
 def test_mu_not_one_evaluation():
     # with mu = 4 the trace of (A B^-1) is 2 + mu = 6, lambda = 3 + 2*sqrt(2)
-    enc = stretch_factor(parse_word("A B^-1"), N_ONES, Fraction(1, 10**10))
+    enc = stretch_factor(represent(parse_word("A B^-1")), perron_eigenvalue(N_ONES), Fraction(1, 10**10))
     target = 3 + 2 * math.sqrt(2)
     assert float(enc.lam_lo) <= target <= float(enc.lam_hi)
 
@@ -184,7 +190,7 @@ def test_trace_bounded_by_power_at_irrational_mu():
         items = [
             ("A" if i % 2 == 0 else "B", rng.choice([1, -1])) for i in range(2 * n)
         ]
-        trace_in_mu = represent(word(items), n_mat).trace_in_mu()
+        trace_in_mu = represent(word(items)).trace_in_mu()
         bound_poly = tuple(0 for _ in range(n)) + (4**n,)  # (4x)^n
         from twistlab.exact import p_sub
 
