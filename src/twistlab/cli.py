@@ -11,6 +11,7 @@ one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 from fractions import Fraction
@@ -37,7 +38,13 @@ from .bounds import (
     exact_two_filling,
     penner_certificate,
 )
-from .config import CurveSystem, load_curve_system, load_curve_system_file, validate
+from .config import (
+    CurveSystem,
+    load_curve_system,
+    load_curve_system_bytes,
+    read_config_file,
+    validate,
+)
 from .errors import MalformedConfig, MalformedInput, MalformedWord, NotHyperbolic, TwistlabError
 from .farey import (
     Slope,
@@ -224,12 +231,39 @@ def _precision(value) -> Fraction:
     return val
 
 
-def _config(value) -> CurveSystem:
+# A process loads each distinct config content once and checks it once per
+# M.  The content is a file's bytes, read again on every use so that an
+# edited file is loaded afresh, or an inline object's JSON text; never the
+# path.
+
+
+@functools.lru_cache(maxsize=8)
+def _load(content: bytes | str) -> CurveSystem:
+    if isinstance(content, bytes):
+        return load_curve_system_bytes(content)
+    return load_curve_system(json.loads(content))
+
+
+@functools.lru_cache(maxsize=8)
+def _check(content: bytes | str, M: int | None) -> tuple[CurveSystem, list[str]]:
+    """The system for this content and M override, and its violations."""
+    sys_ = _load(content)
+    if M is not None:
+        sys_ = sys_.with_m(M)
+    return sys_, validate(sys_)
+
+
+def _config(value) -> bytes | str:
+    """The configuration's content; loading it here reports a bad one as a
+    bad parameter."""
     if isinstance(value, str):
-        return load_curve_system_file(value)
-    if isinstance(value, dict):
-        return load_curve_system(value)
-    raise MalformedConfig("config must be a path or an inline object")
+        content = read_config_file(value)
+    elif isinstance(value, dict):
+        content = json.dumps(value)
+    else:
+        raise MalformedConfig("config must be a path or an inline object")
+    _load(content)
+    return content
 
 
 def _matrix(value) -> IntersectionMatrix:
@@ -249,13 +283,11 @@ def _matrix(value) -> IntersectionMatrix:
 # (result_dict, warnings, echo, ok)
 
 
-def _system(config: CurveSystem, M: int | None) -> CurveSystem:
-    if M is not None:
-        config = config.with_m(M)
-    problems = validate(config)
+def _system(config: bytes | str, M: int | None) -> CurveSystem:
+    sys_, problems = _check(config, M)
     if problems:
         raise MalformedConfig("configuration fails validation: " + "; ".join(problems))
-    return config
+    return sys_
 
 
 def _base_warnings(sys_: CurveSystem) -> list[str]:

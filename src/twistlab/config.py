@@ -13,8 +13,10 @@ reports can say so.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import MalformedConfig, MissingDistance, MissingProjection, UnknownCurve
@@ -72,6 +74,7 @@ class CurveSystem:
         self.M = int(M)
         self.surface = surface
         self.m_is_default = (M == DEFAULT_M) if m_is_default is None else m_is_default
+        self._digest: str | None = None
 
         self._dist = {}
         for a, b, v in self.dist_entries:
@@ -124,7 +127,9 @@ class CurveSystem:
             raise MissingProjection(f"no stored projection at core {core} for ({x}, {y})") from None
 
     def digest(self) -> str:
-        """Stable content digest for report echoes."""
+        """Stable content digest for report echoes, computed once."""
+        if self._digest is not None:
+            return self._digest
         import hashlib
 
         blob = json.dumps(
@@ -139,7 +144,8 @@ class CurveSystem:
             },
             sort_keys=True,
         ).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        self._digest = hashlib.sha256(blob).hexdigest()[:16]
+        return self._digest
 
     def with_m(self, M: int) -> "CurveSystem":
         return CurveSystem(
@@ -227,20 +233,28 @@ def validate(sys: CurveSystem) -> list[str]:
             out.append(f"conflicting proj({core}; {x}, {y}): {proj_seen[key]} vs {v}")
         proj_seen.setdefault(key, v)
 
-    # triangle inequality on every fully stored triple
+    # triangle inequality on every fully stored triple, over an index matrix
+    # of the stored distances.  A missing pair and the diagonal hold
+    # ``spare``, large enough that no sum involving it is exceeded.
     names = sorted({c for key in dist_seen for c in key})
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            if not sys.has_dist(a, b):
-                continue
-            for c in names:
-                if c in (a, b) or not (sys.has_dist(a, c) and sys.has_dist(b, c)):
-                    continue
-                if sys.dist(a, b) > sys.dist(a, c) + sys.dist(c, b):
-                    out.append(
-                        f"triangle inequality fails: dist({a},{b})={sys.dist(a,b)} > "
-                        f"dist({a},{c})+dist({c},{b})={sys.dist(a,c)+sys.dist(c,b)}"
-                    )
+    index = {c: i for i, c in enumerate(names)}
+    pairs = sorted((index[a], index[b], v) for (a, b), v in sys._dist.items() if a != b)
+    values = [0] + [v for _, _, v in pairs]
+    spare = max(values) - min(values)
+    table = [[spare] * len(names) for _ in names]
+    for i, j, v in pairs:
+        table[i][j] = table[j][i] = v
+    for i, j, d_ab in pairs:
+        row_a, row_b = table[i], table[j]
+        if d_ab <= min(map(add, row_a, row_b)):
+            continue
+        a, b = names[i], names[j]
+        for c, x, y in zip(names, row_a, row_b):
+            if d_ab > x + y:
+                out.append(
+                    f"triangle inequality fails: dist({a},{b})={d_ab} > "
+                    f"dist({a},{c})+dist({c},{b})={x + y}"
+                )
 
     # intersection/distance coupling
     general_surface = sys.surface is None or not sys.surface.sporadic
@@ -303,6 +317,11 @@ def proj_multicurve(
 _ALLOWED_FIELDS = {"curves", "multicurves", "dist", "proj", "inter", "M", "surface"}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; booleans, which Python counts as integers, are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_curve_system(data: dict) -> CurveSystem:
     """Build a CurveSystem from the JSON configuration schema.
 
@@ -335,7 +354,7 @@ def load_curve_system(data: dict) -> CurveSystem:
                 not isinstance(row, list)
                 or len(row) != width
                 or not all(isinstance(x, str) for x in row[:-1])
-                or not isinstance(row[-1], int)
+                or not _is_int(row[-1])
             ):
                 raise MalformedConfig(f"'{field}' rows must look like {width - 1} names + int")
             out.append(tuple(row))
@@ -346,7 +365,7 @@ def load_curve_system(data: dict) -> CurveSystem:
     proj = _triples("proj", 4)
 
     m_value = data.get("M", DEFAULT_M)
-    if not isinstance(m_value, int) or m_value <= 0:
+    if not _is_int(m_value) or m_value <= 0:
         raise MalformedConfig("'M' must be a positive integer")
 
     surface = None
@@ -355,7 +374,7 @@ def load_curve_system(data: dict) -> CurveSystem:
         if (
             not isinstance(s, dict)
             or set(s) != {"genus", "punctures"}
-            or not all(isinstance(s[k], int) and s[k] >= 0 for k in ("genus", "punctures"))
+            or not all(_is_int(s[k]) and s[k] >= 0 for k in ("genus", "punctures"))
         ):
             raise MalformedConfig("'surface' must be {genus: int>=0, punctures: int>=0}")
         surface = SurfaceKind(s["genus"], s["punctures"])
@@ -372,12 +391,24 @@ def load_curve_system(data: dict) -> CurveSystem:
     )
 
 
-def load_curve_system_file(path: str) -> CurveSystem:
+def read_config_file(path: str) -> bytes:
+    """The raw bytes of a configuration file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise MalformedConfig(f"cannot read configuration: {exc}") from None
+
+
+def load_curve_system_bytes(blob: bytes) -> CurveSystem:
+    """Build a CurveSystem from the bytes of a configuration file, decoded
+    exactly as a file opened in UTF-8 text mode would be."""
+    try:
+        data = json.load(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedConfig(f"configuration is not valid JSON: {exc}") from None
     return load_curve_system(data)
+
+
+def load_curve_system_file(path: str) -> CurveSystem:
+    return load_curve_system_bytes(read_config_file(path))

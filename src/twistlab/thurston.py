@@ -204,8 +204,11 @@ def lambda_log_enclosure(trace: Interval, precision: Fraction) -> StretchEnclosu
     if trace[0] <= 2:
         return None
     disc = iv_mul(trace, trace)
-    sq_lo = sqrt_enclosure(disc[0] - 4, precision / 8)[0]
-    sq_hi = sqrt_enclosure(disc[1] - 4, precision / 8)[1]
+    if disc[0] == disc[1]:  # an exact trace: one square root gives both ends
+        sq_lo, sq_hi = sqrt_enclosure(disc[0] - 4, precision / 8)
+    else:
+        sq_lo = sqrt_enclosure(disc[0] - 4, precision / 8)[0]
+        sq_hi = sqrt_enclosure(disc[1] - 4, precision / 8)[1]
     lam = ((trace[0] + sq_lo) / 2, (trace[1] + sq_hi) / 2)
     if lam[1] - lam[0] > precision:
         return None

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twistlab.cli import MODES, main
+from twistlab.config import validate
 
 PAIR_CONFIG = {
     "curves": ["a", "b"],
@@ -471,3 +472,58 @@ def test_thurston_computes_mu_and_verdict_once(capsys, tmp_path, monkeypatch):
     code, out, _ = _run(capsys, ["thurston", "--matrix", str(matrix), "--word", "A^3 B^-1"])
     assert code == 0 and json.loads(out)["result"]["hyperbolic"]
     assert sorted(calls) == ["classify", "perron_eigenvalue"]
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Record the M of every system validated, from an empty check cache."""
+    from twistlab import cli
+
+    calls = []
+
+    def counted(sys_):
+        calls.append(sys_.M)
+        return validate(sys_)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    cli._check.cache_clear()
+    yield calls
+    cli._check.cache_clear()
+
+
+def test_edited_config_file_is_read_again(capsys, tmp_path, config_path, validate_calls):
+    line = {"mode": "analyze", "config": config_path, "word": "a^201 b^-201"}
+    first = _batch(capsys, tmp_path, [line, line])
+    with open(config_path, "w") as fh:
+        json.dump({**PAIR_CONFIG, "dist": [["a", "b", 4]]}, fh)
+    second = _batch(capsys, tmp_path, [line, line])
+    assert first[0] == first[1] and second[0] == second[1]
+    assert first[0]["input_echo"]["config_digest"] != second[0]["input_echo"]["config_digest"]
+    assert (first[0]["result"]["exact"], second[0]["result"]["exact"]) == (2, 4)
+    assert validate_calls == [100, 100]  # once per content
+
+
+def test_invalid_shared_config_fails_every_line(capsys, tmp_path, validate_calls):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**PAIR_CONFIG, "dist": [["a", "b", 3], ["b", "a", 4]]}))
+    line = {"mode": "analyze", "config": str(bad), "word": "a^201 b^-201"}
+    docs = _batch(capsys, tmp_path, [line] * 3)
+    for doc in docs[:3]:
+        assert doc["status"] == "error"
+        assert doc["error"]["type"] == "MalformedConfig"
+        assert "asymmetric dist(b, a): 3 vs 4" in doc["error"]["message"]
+    assert docs[3] == {"pass": 0, "fail": 3}
+    assert len(validate_calls) == 1
+
+
+def test_config_checked_once_per_m(capsys, tmp_path, config_path, validate_calls):
+    line = {"mode": "analyze", "config": config_path, "word": "a^201 b^-201"}
+    inline = {**line, "config": dict(PAIR_CONFIG)}
+    lines = [{**line, "M": 5}, {**line, "M": 0}, line] * 2 + [inline, inline]
+    docs = _batch(capsys, tmp_path, lines)
+    assert sorted(validate_calls) == [0, 5, 100, 100]  # the inline copy is its own content
+    for doc in docs[:6]:
+        if doc["status"] == "error":
+            assert doc["error"]["message"] == "configuration fails validation: M must be positive, got 0"
+    assert [doc["status"] for doc in docs[:8]] == ["ok", "error", "ok"] * 2 + ["ok", "ok"]
+    assert [docs[i]["input_echo"]["M"] for i in (0, 2, 6)] == [5, 100, 100]

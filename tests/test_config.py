@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistlab.config import (
     CurveSystem,
@@ -123,6 +124,26 @@ def test_load_rejects_bad_rows():
         load_curve_system({"curves": ["a", "b"], "dist": [["a", "b", "x"]]})
 
 
+BASE = {"curves": ["a", "b"], "dist": [["a", "b", 3]], "inter": [["a", "b", 1]]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dist", [["a", "b", True]]),
+        ("inter", [["a", "b", False]]),
+        ("proj", [["a", "a", "b", True]]),
+        ("M", True),
+        ("surface", {"genus": True, "punctures": 0}),
+        ("surface", {"genus": 2, "punctures": False}),
+    ],
+    ids=["dist", "inter", "proj", "M", "genus", "punctures"],
+)
+def test_load_rejects_booleans(field, value):
+    with pytest.raises(MalformedConfig):
+        load_curve_system({**BASE, field: value})
+
+
 def test_load_m_default_flag():
     base = {"curves": ["a", "b"], "dist": [["a", "b", 3]]}
     sys_ = load_curve_system(base)
@@ -146,3 +167,63 @@ def test_m_override_is_flagged(pair_system):
     bumped = pair_system.with_m(50)
     assert bumped.M == 50 and not bumped.m_is_default
     assert bumped.dist("a", "b") == 3
+
+
+def _triangle_oracle(sys_):
+    """The triangle check as validate ran it before the index matrix: every
+    stored pair against every third name, through the lookups."""
+    out = []
+    names = sorted({c for a, b, _ in sys_.dist_entries for c in (a, b)})
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if not sys_.has_dist(a, b):
+                continue
+            for c in names:
+                if c in (a, b) or not (sys_.has_dist(a, c) and sys_.has_dist(b, c)):
+                    continue
+                if sys_.dist(a, b) > sys_.dist(a, c) + sys_.dist(c, b):
+                    out.append(
+                        f"triangle inequality fails: dist({a},{b})={sys_.dist(a,b)} > "
+                        f"dist({a},{c})+dist({c},{b})={sys_.dist(a,c)+sys_.dist(c,b)}"
+                    )
+    return out
+
+
+def _triangle_lines(problems):
+    return [p for p in problems if p.startswith("triangle inequality fails")]
+
+
+def test_triangle_messages_in_oracle_order():
+    sys_ = CurveSystem(
+        ["a", "b", "c", "d"],
+        dist=[("a", "b", 9), ("b", "c", 1), ("c", "a", 2), ("a", "d", 3), ("d", "b", 4), ("c", "d", 8)],
+    )
+    lines = _triangle_lines(validate(sys_))
+    assert lines == _triangle_oracle(sys_)
+    assert lines == [
+        "triangle inequality fails: dist(a,b)=9 > dist(a,c)+dist(c,b)=3",
+        "triangle inequality fails: dist(a,b)=9 > dist(a,d)+dist(d,b)=7",
+        "triangle inequality fails: dist(c,d)=8 > dist(c,a)+dist(a,d)=5",
+        "triangle inequality fails: dist(c,d)=8 > dist(c,b)+dist(b,d)=5",
+    ]
+
+
+# partial tables over five names, one of them ("e") not declared: missing
+# pairs, repeated and conflicting rows, self-pairs and violated triangles
+ROWS = st.lists(
+    st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"), st.integers(-2, 9)),
+    max_size=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROWS)
+def test_validate_matches_triangle_oracle(rows):
+    sys_ = CurveSystem(["a", "b", "c", "d"], dist=rows)
+    problems = validate(sys_)
+    lines = _triangle_lines(problems)
+    assert lines == _triangle_oracle(sys_)
+    # the triangle lines form one block, between the row checks and the rest
+    if lines:
+        start = problems.index(lines[0])
+        assert problems[start : start + len(lines)] == lines
